@@ -50,7 +50,6 @@ func runCloseMidFlight(t *testing.T) {
 		CRMRCapacity: 8,
 		SlabSize:     64,
 		HotItems:     64,
-		IdleSleep:    -1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,6 @@ func runCloseMidEviction(t *testing.T) {
 		RXCapacity:    64,
 		CRMRCapacity:  8,
 		SlabSize:      64,
-		IdleSleep:     -1,
 		MemoryBudget:  32 << 10, // keyspace below is ~4× this
 		EvictInterval: time.Millisecond,
 		ColdDir:       t.TempDir(),

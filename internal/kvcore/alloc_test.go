@@ -20,7 +20,6 @@ func openAllocStore(t *testing.T, hotItems int) *Store {
 		Workers:   3,
 		CRWorkers: 1,
 		HotItems:  hotItems,
-		IdleSleep: -1, // spin+Gosched only: Sleep timers stay out of the picture
 	})
 	if err != nil {
 		t.Fatal(err)

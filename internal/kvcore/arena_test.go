@@ -60,7 +60,6 @@ func TestScanAllocFree(t *testing.T) {
 		Workers:   3,
 		CRWorkers: 1,
 		HotItems:  0,
-		IdleSleep: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,8 +101,6 @@ func TestScanAllocFree(t *testing.T) {
 // item words are atomics. The plain header fields rewritten by pool reuse
 // (size, words) give -race real teeth on top. CI runs this with -race.
 func TestEpochReclamationStress(t *testing.T) {
-	// Default IdleSleep: on a single-CPU runner, pure-spin workers starve
-	// the client goroutines and the test crawls.
 	s, err := Open(Config{
 		Engine:    Hash,
 		Workers:   3,
@@ -133,12 +130,32 @@ func TestEpochReclamationStress(t *testing.T) {
 	errCh := make(chan error, writers+readers)
 	stopRefresh := make(chan struct{})
 
+	// The workload runs until its op counts are done and the hot set has
+	// been superseded a few times under it: the requests alone finish in
+	// milliseconds, before a refresh or two would have happened.
+	const minRefreshes = 8
+	var refreshes atomic.Int64
+	go func() {
+		for {
+			select {
+			case <-stopRefresh:
+				return
+			default:
+				s.RefreshHotSet()
+				refreshes.Add(1)
+				// Throttle: a hot refresh loop (CMS snapshot each pass)
+				// would monopolize a single-CPU runner.
+				time.Sleep(500 * time.Microsecond)
+			}
+		}
+	}()
+
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			rng := uint64(w)*0x9E3779B97F4A7C15 + 1
-			for i := 0; i < writerOps; i++ {
+			for i := 0; i < writerOps || refreshes.Load() < minRefreshes; i++ {
 				rng = rng*6364136223846793005 + 1442695040888963407
 				k := rng % keys
 				switch {
@@ -166,7 +183,7 @@ func TestEpochReclamationStress(t *testing.T) {
 			defer wg.Done()
 			buf := make([]byte, 0, 64)
 			rng := uint64(r)*0xDEADBEEF + 7
-			for i := 0; i < readerOps; i++ {
+			for i := 0; i < readerOps || refreshes.Load() < minRefreshes; i++ {
 				rng = rng*6364136223846793005 + 1442695040888963407
 				k := rng % keys
 				v, ok, err := s.GetInto(k, buf)
@@ -188,22 +205,6 @@ func TestEpochReclamationStress(t *testing.T) {
 			}
 		}(r)
 	}
-	var refreshes atomic.Int64
-	go func() {
-		for {
-			select {
-			case <-stopRefresh:
-				return
-			default:
-				s.RefreshHotSet()
-				refreshes.Add(1)
-				// Throttle: a hot refresh loop (CMS snapshot each pass)
-				// would monopolize a single-CPU runner.
-				time.Sleep(500 * time.Microsecond)
-			}
-		}
-	}()
-
 	wg.Wait()
 	close(stopRefresh)
 	select {
@@ -235,7 +236,6 @@ func TestArenaOffMatchesSemantics(t *testing.T) {
 		Workers:   3,
 		CRWorkers: 1,
 		HotItems:  16,
-		IdleSleep: -1,
 		ArenaOff:  true,
 	})
 	if err != nil {

@@ -19,7 +19,7 @@ func TestAsyncFacade(t *testing.T) {
 	defer s.Close()
 
 	val := []byte("async-value")
-	put, err := s.PutAsync(1, val)
+	put, err := s.PutAsync(1, val, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestAsyncFacade(t *testing.T) {
 	put.Release()
 
 	dst := make([]byte, 0, 64)
-	get, err := s.GetAsync(1, dst)
+	get, err := s.GetAsync(1, dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestAsyncFacade(t *testing.T) {
 	}
 	get.Release()
 
-	del, err := s.DeleteAsync(1)
+	del, err := s.DeleteAsync(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestAsyncFacade(t *testing.T) {
 	}
 	del.Release()
 
-	miss, err := s.GetAsync(1, dst)
+	miss, err := s.GetAsync(1, dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestAsyncFacade(t *testing.T) {
 	const n = 64
 	calls := make([]*rpc.Call, 0, n)
 	for i := uint64(0); i < n; i++ {
-		c, err := s.PutAsync(100+i, val)
+		c, err := s.PutAsync(100+i, val, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestAsyncFacade(t *testing.T) {
 		c.Release()
 	}
 	for i := uint64(0); i < n; i++ {
-		c, err := s.GetAsync(100+i, nil)
+		c, err := s.GetAsync(100+i, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

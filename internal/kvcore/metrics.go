@@ -5,6 +5,16 @@ import (
 	"mutps/internal/workload"
 )
 
+// HandoffParksMetric counts sleeps on a hand-off bell by site: "cr" and
+// "mr" are worker loops that ran dry, "wait" a Call.Wait that found its
+// call pending, "conn" (registered by netserver) a connection's completion
+// stage waiting on its window head. Only the sleep path increments it; a
+// loop that finds work, or a Ring nobody is armed for, counts nothing.
+const (
+	HandoffParksMetric = "mutps_handoff_parks_total"
+	handoffParksHelp   = "Sleeps on a hand-off bell, by site (cr/mr worker loops, conn completion stages, wait = rpc.Call.Wait)."
+)
+
 // opNames renders operation labels in workload.OpType order.
 var opNames = [4]string{`op="get"`, `op="put"`, `op="delete"`, `op="scan"`}
 
@@ -31,6 +41,12 @@ type storeMetrics struct {
 
 	retired  *obs.Counter // items unlinked and queued for reclamation
 	recycled *obs.Counter // retired items whose slots returned to the arena
+
+	// Worker-loop sleeps on the hand-off bell, by role. Exported through
+	// CounterFuncs so the family can also carry the sites other layers count
+	// (rpc's Wait parks, netserver's completion-stage parks).
+	parksCR *obs.Counter
+	parksMR *obs.Counter
 
 	// Bounded-memory lifecycle (§13). The spill counters are written only
 	// by the evictor goroutine (shard 0); the rest are sharded per worker.
@@ -72,6 +88,8 @@ func newStoreMetrics(workers int) *storeMetrics {
 		"Items unlinked from the index and queued for epoch-based reclamation.", workers)
 	m.recycled = r.Counter("mutps_items_recycled_total", "",
 		"Retired items whose headers and arena slots have been recycled.", workers)
+	m.parksCR = obs.NewCounter(workers)
+	m.parksMR = obs.NewCounter(workers)
 	m.spills = r.Counter("mutps_cold_spills_total", "",
 		"Evicted values written to the cold-tier log.", 1)
 	m.spillErrors = r.Counter("mutps_cold_spill_errors_total", "",
@@ -153,6 +171,17 @@ func (s *Store) registerDerived() {
 			}
 			return float64(t)
 		})
+	for _, site := range []struct {
+		label string
+		parks func() uint64
+	}{
+		{`site="cr"`, s.met.parksCR.Value},
+		{`site="mr"`, s.met.parksMR.Value},
+		{`site="wait"`, s.rpc.WaitParks},
+	} {
+		r.CounterFunc(HandoffParksMetric, site.label, handoffParksHelp,
+			func() float64 { return float64(site.parks()) })
+	}
 	r.GaugeFunc("mutps_crmr_occupancy", "",
 		"Batches published to the CR-MR queue and not yet committed.",
 		func() float64 { return float64(s.crmr.Occupancy()) })

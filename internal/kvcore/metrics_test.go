@@ -3,6 +3,7 @@ package kvcore
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"mutps/internal/obs"
 )
@@ -150,13 +151,12 @@ func TestRoleSwitchCounter(t *testing.T) {
 	if err := s.SetSplit(2); err != nil {
 		t.Fatal(err)
 	}
-	// The promoted worker leaves runMR and enters runCR; give it a moment.
-	deadline := 200
-	for s.met.roleSwap.Value() == base && deadline > 0 {
-		deadline--
+	// The promoted worker leaves runMR and enters runCR; give it a moment
+	// (in wall time: a count of gets shrinks as gets get faster).
+	if !waitUntil(time.Second, func() bool {
 		s.Get(1) // keep the loop honest under -race
-	}
-	if s.met.roleSwap.Value() == base {
+		return s.met.roleSwap.Value() != base
+	}) {
 		t.Fatal("role-switch counter did not move after SetSplit")
 	}
 }

@@ -119,11 +119,11 @@ func (s *Store) maybeReclaim(w int) {
 // queues. It must be called outside any epoch read-section (a worker's
 // own active section would not deadlock — the frontier ignores epochs
 // newer than a stamp — but items retired within the section could never
-// clear it).
-func (s *Store) reclaim(w int) {
+// clear it). It reports whether any item moved a stage forward.
+func (s *Store) reclaim(w int) bool {
 	rq := s.retq[w]
 	if rq.pending() == 0 {
-		return
+		return false
 	}
 	s.dom.Advance()
 	f := s.dom.Frontier()
@@ -173,6 +173,7 @@ func (s *Store) reclaim(w int) {
 		s.recycle(w, r.it)
 		budget--
 	}
+	return budget < reclaimBudget
 }
 
 // recycle returns a fully quiesced item to worker w's pool (and its value
@@ -185,16 +186,17 @@ func (s *Store) recycle(w int, it *seqitem.Item) {
 }
 
 // reclaimTick is the idle/periodic hook: cheap when there is nothing to
-// do, a bounded pass otherwise. Gated on the arena being enabled.
-func (s *Store) reclaimTick(w int) {
+// do, a bounded pass otherwise. Gated on the arena being enabled. It
+// reports whether the pass made progress: an idle worker keeps passing
+// while it does and parks when it does not — what is left then waits on a
+// reader section elsewhere or on the next hot-set install, and the worker's
+// next wake-up (RefreshHotSet rings every worker after an install) retries.
+func (s *Store) reclaimTick(w int) bool {
 	if s.dom == nil {
-		return
+		return false
 	}
-	rq := s.retq[w]
-	rq.ops = 0
-	if rq.pending() > 0 {
-		s.reclaim(w)
-	}
+	s.retq[w].ops = 0
+	return s.reclaim(w)
 }
 
 // drainRetired force-recycles every queued retirement. Only Close may

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mutps/internal/arena"
+	"mutps/internal/bell"
 	"mutps/internal/coldtier"
 	"mutps/internal/epoch"
 	"mutps/internal/hotset"
@@ -32,13 +33,6 @@ type Config struct {
 	HotItems    int // hot-set cache target size (0 disables the CR cache)
 	SampleEvery int // hot-set tracker sampling period (default 8)
 	TrackRing   int // per-worker sample ring (default 1024)
-
-	// IdleSleep is how long a worker parks after a long run of empty polls
-	// (default 50µs; negative disables). On the paper's dedicated pinned
-	// cores workers spin forever; when sharing cores with clients (tests,
-	// laptops, TCP serving) pure spinning starves everyone else, so idle
-	// workers yield the processor after idleSpins consecutive empty polls.
-	IdleSleep time.Duration
 
 	CapacityHint int // expected item count (hash engine pre-sizing)
 
@@ -103,9 +97,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.CapacityHint <= 0 {
 		c.CapacityHint = 1 << 16
-	}
-	if c.IdleSleep == 0 {
-		c.IdleSleep = 50 * time.Microsecond
 	}
 	if c.ArenaChunk <= 0 {
 		c.ArenaChunk = arena.DefaultChunkBytes
@@ -226,6 +217,9 @@ func Open(cfg Config) (*Store, error) {
 		}
 		s.mrscr[i] = &mrScratch{}
 		s.mrcons[i] = s.crmr.Consumer(i)
+		// One bell per worker, whatever its role: a batch pushed into its
+		// column wakes it exactly like a request published into its slot.
+		s.crmr.SetBell(i, s.rpc.Bell(i))
 	}
 	stripes := 64
 	for stripes < 16*cfg.Workers {
@@ -547,31 +541,36 @@ func (s *Store) SendAsync(m rpc.Message) (*rpc.Call, error) { return s.rpc.Send(
 // result; Release the call when done with them. A nil call (with
 // rpc.ErrClosed or rpc.ErrBacklogged) means nothing was enqueued.
 //
+// notify, here and on the other async submits, is an optional bell rung
+// when the call completes (rpc.Message.Notify): a caller keeping a window
+// of calls in flight parks on it once instead of blocking in Wait call by
+// call. Pass nil to rely on Wait alone.
+//
 // The async facade trades the facade's per-op latency instrumentation for
 // pipelining: callers that keep N calls in flight (the netserver's
 // per-connection window, load generators) record their own latency.
-func (s *Store) GetAsync(key uint64, dst []byte) (*rpc.Call, error) {
-	return s.rpc.Send(rpc.Message{Op: workload.OpGet, Key: key, Dst: dst})
+func (s *Store) GetAsync(key uint64, dst []byte, notify *bell.Bell) (*rpc.Call, error) {
+	return s.rpc.Send(rpc.Message{Op: workload.OpGet, Key: key, Dst: dst, Notify: notify})
 }
 
 // PutAsync submits a put and returns its completion future without
 // waiting. val must stay untouched until the call completes: the value is
 // copied into the item only when a worker executes the request, not at
 // submit time (the synchronous Put hides this by blocking).
-func (s *Store) PutAsync(key uint64, val []byte) (*rpc.Call, error) {
-	return s.rpc.Send(rpc.Message{Op: workload.OpPut, Key: key, Value: val, Expire: s.expireAt(0)})
+func (s *Store) PutAsync(key uint64, val []byte, notify *bell.Bell) (*rpc.Call, error) {
+	return s.PutTTLAsync(key, val, 0, notify)
 }
 
 // PutTTLAsync is PutAsync with a per-item TTL (ttl <= 0 selects the
 // configured default).
-func (s *Store) PutTTLAsync(key uint64, val []byte, ttl time.Duration) (*rpc.Call, error) {
-	return s.rpc.Send(rpc.Message{Op: workload.OpPut, Key: key, Value: val, Expire: s.expireAt(ttl)})
+func (s *Store) PutTTLAsync(key uint64, val []byte, ttl time.Duration, notify *bell.Bell) (*rpc.Call, error) {
+	return s.rpc.Send(rpc.Message{Op: workload.OpPut, Key: key, Value: val, Expire: s.expireAt(ttl), Notify: notify})
 }
 
 // DeleteAsync submits a delete and returns its completion future without
 // waiting; call.Found reports whether the key existed.
-func (s *Store) DeleteAsync(key uint64) (*rpc.Call, error) {
-	return s.rpc.Send(rpc.Message{Op: workload.OpDelete, Key: key})
+func (s *Store) DeleteAsync(key uint64, notify *bell.Bell) (*rpc.Call, error) {
+	return s.rpc.Send(rpc.Message{Op: workload.OpDelete, Key: key, Notify: notify})
 }
 
 // --- manager operations ----------------------------------------------------
@@ -631,6 +630,11 @@ func (s *Store) HotItems() int { return int(s.hotTarget.Load()) }
 func (s *Store) RefreshHotSet() int {
 	s.refreshMu.Lock()
 	defer s.refreshMu.Unlock()
+	// Once the new view is in and this reader section has closed, retired
+	// items parked behind the superseded view can move on — the one wake
+	// condition of an idle worker nothing else rings for. (Deferred before
+	// epochExit so it runs after it.)
+	defer s.rpc.RingAll()
 	s.epochEnter(s.cfg.Workers)
 	defer s.epochExit(s.cfg.Workers)
 	k := int(s.hotTarget.Load())

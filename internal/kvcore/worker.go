@@ -4,33 +4,47 @@ import (
 	"runtime"
 	"time"
 
+	"mutps/internal/bell"
+	"mutps/internal/obs"
 	"mutps/internal/ring"
 	"mutps/internal/rpc"
 	"mutps/internal/seqitem"
 	"mutps/internal/workload"
 )
 
-// idleSpins is how many consecutive empty polls a worker tolerates before
-// parking for Config.IdleSleep.
-const idleSpins = 256
-
-// idleGate tracks consecutive empty polls and parks the goroutine once the
-// spin budget is exhausted.
-type idleGate struct {
-	spins int
-	sleep time.Duration
+// parker drives a worker loop's idle path (DESIGN.md "Hand-offs", H1). The
+// first empty pass arms the worker's bell; the next pass of the loop is the
+// re-check of everything the loop waits for, and only if it is empty too
+// does the worker sleep. A pass that finds work calls busy, which cancels a
+// pending arm — so a loop with work never sleeps, never yields and pays
+// nothing beyond the pass it was making anyway. There is no spin phase in
+// between: parking after 0, 1, 4, 16 or 64 extra yielding polls measured
+// the same end to end (EXPERIMENTS.md, PR 13), so none stay and nothing is
+// left to tune.
+type parker struct {
+	bell  *bell.Bell
+	parks *obs.Counter // sleeps, counted on shard w
+	w     int
+	armed bool
 }
 
-func (g *idleGate) busy() { g.spins = 0 }
+func (p *parker) busy() {
+	if p.armed {
+		p.bell.Disarm()
+		p.armed = false
+	}
+}
 
-func (g *idleGate) idle() {
-	g.spins++
-	if g.sleep > 0 && g.spins >= idleSpins {
-		g.spins = 0
-		time.Sleep(g.sleep)
+// idle ends an empty pass.
+func (p *parker) idle() {
+	if !p.armed {
+		p.bell.Arm()
+		p.armed = true
 		return
 	}
-	runtime.Gosched()
+	p.parks.Inc(p.w)
+	p.bell.Sleep()
+	p.armed = false
 }
 
 // slab holds in-flight request contexts for one CR worker — the in-process
@@ -174,7 +188,8 @@ func (s *Store) runCR(id int) {
 	st := s.crp[id]
 	sl := s.slabs[id]
 	served := 0
-	gate := idleGate{sleep: s.cfg.IdleSleep}
+	pk := parker{bell: s.rpc.Bell(id), parks: s.met.parksCR, w: id}
+	defer pk.busy() // never leave the bell armed behind a return
 
 	recycle := func() bool {
 		if st.inflight == 0 {
@@ -224,9 +239,11 @@ func (s *Store) runCR(id int) {
 			if s.rpc.Closed() && !st.terminalDone {
 				// Retired under the terminal shutdown schedule: every RPC
 				// slot this worker will ever own has been consumed and its
-				// final batch pushed. Count it towards the drain barrier.
+				// final batch pushed. Count it towards the drain barrier,
+				// which the workers already retired are parked behind.
 				st.terminalDone = true
 				s.crDone.Add(1)
+				s.rpc.RingAll()
 			}
 			return
 		}
@@ -239,12 +256,17 @@ func (s *Store) runCR(id int) {
 			// to this worker's MR column just after it switched to the CR
 			// role. Nobody else may consume an SPSC ring, so drain our own
 			// column here; this only fires on reassignment stragglers.
-			s.drainOwnColumn(id)
-			s.reclaimTick(id)
-			gate.idle()
+			if s.drainOwnColumn(id) || s.reclaimTick(id) {
+				pk.busy()
+				continue
+			}
+			// Nothing to do. Everything this pass checked has a ring behind
+			// it: Send for an owned slot, Flush for our column, Reconfigure
+			// and Close for the schedule, RefreshHotSet for the retire queue.
+			pk.idle()
 			continue
 		}
-		gate.busy()
+		pk.busy()
 		served++
 		if served%256 == 0 {
 			// Under saturation the idle branch may never run; still check
@@ -262,8 +284,6 @@ func (s *Store) runCR(id int) {
 			s.met.valSize.Record(id, uint64(len(m.Value)))
 		}
 		if s.tryServeHot(id, &m) {
-			s.met.crHit.Inc(id)
-			s.met.ops[opIndex(m.Op)].Inc(id)
 			continue
 		}
 		if m.Op == workload.OpGet || m.Op == workload.OpPut {
@@ -297,6 +317,7 @@ func (s *Store) runCR(id int) {
 		sl.msgs[slot] = m
 		req := encodeRequest(&m, slot)
 		st.curBatch = append(st.curBatch, slot)
+		s.met.forwarded.Inc(id)
 		nCR := int(s.nCR.Load())
 		if mr, fl := st.prod.Add(req, nCR, s.cfg.Workers-nCR); fl {
 			s.met.batchSize.Record(id, uint64(s.cfg.BatchSize))
@@ -304,7 +325,6 @@ func (s *Store) runCR(id int) {
 			st.inflight++
 			st.curBatch = st.newBatch()
 		}
-		s.met.forwarded.Inc(id)
 	}
 	// Hard-stop exit (stop observed at the loop head): the MR side may be
 	// gone too, so fail the partial batch locally instead of pushing it.
@@ -352,6 +372,10 @@ func encodeRequest(m *rpc.Message, slot uint32) ring.Request {
 // take the miss path (they mutate or traverse the full index). The view
 // lookup and the item read happen inside worker w's epoch section —
 // that's what lets reclamation wait out readers of superseded views.
+//
+// Here and on the MR side the op is counted before its call completes: a
+// parked waiter resumes the moment Complete runs, and a caller that has
+// seen its request complete must find it in the counters.
 func (s *Store) tryServeHot(w int, m *rpc.Message) bool {
 	s.epochEnter(w)
 	defer s.epochExit(w)
@@ -371,6 +395,7 @@ func (s *Store) tryServeHot(w int, m *rpc.Message) bool {
 		call.Value = it.Read(call.Dst[:0])
 		call.Found = true
 		call.Expiry = e
+		s.countHit(w, m.Op)
 		call.Complete()
 		return true
 	case workload.OpPut:
@@ -388,6 +413,7 @@ func (s *Store) tryServeHot(w int, m *rpc.Message) bool {
 			return false
 		}
 		it.SetExpire(m.Expire)
+		s.countHit(w, m.Op)
 		m.Call().Complete()
 		return true
 	default:
@@ -395,18 +421,26 @@ func (s *Store) tryServeHot(w int, m *rpc.Message) bool {
 	}
 }
 
+// countHit records one request served entirely at the CR layer.
+func (s *Store) countHit(w int, op workload.OpType) {
+	s.met.crHit.Inc(w)
+	s.met.ops[opIndex(op)].Inc(w)
+}
+
 // drainOwnColumn processes any batches sitting in worker id's MR column —
-// the §3.5 residual-request guarantee, enforced from the CR role.
-func (s *Store) drainOwnColumn(id int) {
+// the §3.5 residual-request guarantee, enforced from the CR role — and
+// reports whether there were any.
+func (s *Store) drainOwnColumn(id int) (drained bool) {
 	for {
 		cr, reqs, rg := s.mrcons[id].Poll(s.cfg.Workers)
 		if cr == -1 {
-			return
+			return drained
 		}
 		for i := range reqs {
 			s.processMR(id, cr, &reqs[i])
 		}
 		rg.Commit()
+		drained = true
 	}
 }
 
@@ -464,13 +498,14 @@ func (s *Store) runMR(id int) {
 	cons := s.mrcons[id]
 	batched, _ := s.idx.(BatchIndex)
 	scr := s.mrscr[id]
-	gate := idleGate{sleep: s.cfg.IdleSleep}
+	pk := parker{bell: s.rpc.Bell(id), parks: s.met.parksMR, w: id}
+	defer pk.busy() // never leave the bell armed behind a return
 	for !s.stop.Load() {
 		// Scan all rows: residual batches may exist from workers that have
 		// since changed role.
 		cr, reqs, rg := cons.Poll(s.cfg.Workers)
 		if cr == -1 {
-			s.reclaimTick(id)
+			reclaimed := s.reclaimTick(id)
 			if s.rpc.Closed() {
 				st := s.crp[id]
 				if !st.terminalDone {
@@ -483,18 +518,22 @@ func (s *Store) runMR(id int) {
 					return
 				}
 				// Retired but other workers are still pushing their final
-				// batches; keep consuming until the drain barrier clears.
-				gate.idle()
-				continue
-			}
-			if id < int(s.nCR.Load()) && s.crmr.ColumnEmpty(id) {
+				// batches; keep consuming until the drain barrier clears
+				// (each push rings our column, each retirement rings all).
+			} else if id < int(s.nCR.Load()) && s.crmr.ColumnEmpty(id) {
 				// Reassigned to the CR layer and fully drained: switch.
 				return
 			}
-			gate.idle()
+			if reclaimed {
+				pk.busy()
+				continue
+			}
+			// Nothing to do; see runCR for who rings what. SetSplit reaches
+			// us through Reconfigure.
+			pk.idle()
 			continue
 		}
-		gate.busy()
+		pk.busy()
 		if batched != nil && len(reqs) > 1 {
 			// Batched indexing (§3.3): serve the batch's gets with one
 			// shared index traversal; other ops take the per-request path.
@@ -509,6 +548,7 @@ func (s *Store) runMR(id int) {
 				// One epoch section covers the shared traversal and every
 				// item read; it closes before the non-get requests run
 				// (processMR opens its own — sections must not nest).
+				s.met.ops[workload.OpGet].Add(id, uint64(len(scr.pos)))
 				s.epochEnter(id)
 				scr.items, scr.found = batched.GetBatch(scr.keys, scr.items, scr.found)
 				for j, i := range scr.pos {
@@ -517,7 +557,6 @@ func (s *Store) runMR(id int) {
 					call.Complete()
 				}
 				s.epochExit(id)
-				s.met.ops[workload.OpGet].Add(id, uint64(len(scr.pos)))
 				for i := range reqs {
 					if workload.OpType(reqs[i].Type) != workload.OpGet {
 						s.processMR(id, cr, &reqs[i])
@@ -554,9 +593,8 @@ func (s *Store) processMR(w, cr int, req *ring.Request) {
 		s.scanMR(w, req, call)
 	}
 	s.epochExit(w)
-	op := opIndex(workload.OpType(req.Type))
+	s.met.ops[opIndex(workload.OpType(req.Type))].Inc(w)
 	call.Complete()
-	s.met.ops[op].Inc(w)
 	s.maybeReclaim(w)
 }
 

@@ -171,6 +171,7 @@ type Server struct {
 	submitted  *obs.Counter
 	retired    *obs.Counter
 	flushBatch *obs.Histogram
+	connParks  *obs.Counter // completion-stage sleeps on a connection bell
 
 	// Event-loop transport instruments (registered lazily by the epoll
 	// transport): responses carried per writev burst.
@@ -287,6 +288,9 @@ func newServer(store *kvcore.Store, cfg Config) *Server {
 		"Responses carried by one connection flush (coalesced write syscalls per burst).", latShards)
 	s.writevBatch = reg.Histogram("mutps_net_writev_batch", "",
 		"Responses carried by one cross-connection writev burst (epoll transport).", latShards)
+	s.connParks = obs.NewCounter(latShards)
+	reg.CounterFunc(kvcore.HandoffParksMetric, `site="conn"`, "",
+		func() float64 { return float64(s.connParks.Value()) })
 	reg.GaugeFunc("mutps_net_leased_buffer_bytes", "",
 		"Request/response buffer bytes currently leased by in-flight requests; idle connections hold none.",
 		func() float64 { return float64(s.leaser.LeasedBytes()) })

@@ -44,7 +44,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mutps/internal/bell"
 	"mutps/internal/obs"
+	"mutps/internal/rpc"
 )
 
 // connPipeline is the per-connection pipelined executor state shared by
@@ -59,6 +61,11 @@ type connPipeline struct {
 
 	free    chan *netOp // window slots available to the decode stage
 	pending chan *netOp // submitted slots, in request order (the FIFO)
+
+	// bell is rung by every store call this connection submits when it
+	// completes (protoExec.notify); the completion stage parks on it while
+	// the window head is still in the store.
+	bell *bell.Bell
 
 	// opsInFlight tracks this connection's window occupancy for the
 	// idle-conns gauge: the decode stage increments, the completion stage
@@ -78,9 +85,10 @@ const pipeWriterBuf = 32 << 10
 
 func newConnPipeline(s *Server, conn net.Conn, connID int) *connPipeline {
 	window := s.window()
+	b := bell.New()
 	p := &connPipeline{
-		s: s, conn: conn, window: window,
-		exec:    protoExec{s: s, connID: connID},
+		s: s, conn: conn, window: window, bell: b,
+		exec:    protoExec{s: s, connID: connID, notify: b},
 		r:       bufio.NewReader(conn),
 		w:       bufio.NewWriterSize(conn, pipeWriterBuf),
 		free:    make(chan *netOp, window),
@@ -179,11 +187,17 @@ func (p *connPipeline) track() {
 // to the pool: a connection between bursts costs no buffer memory.
 func (p *connPipeline) writeLoop() {
 	for e := range p.pending {
-		if (e.call != nil && !e.call.Done()) ||
-			(e.mget && len(e.mcalls) > 0 && !e.mcalls[0].Done()) {
+		if !e.done() {
 			// The window head hasn't completed: get the already-encoded
-			// burst onto the wire instead of sitting on it while we wait.
+			// burst onto the wire instead of sitting on it, then sleep
+			// until the store is through with the head.
 			p.flushResponses()
+			if e.call != nil {
+				p.await(e.call)
+			}
+			for _, c := range e.mcalls {
+				p.await(c)
+			}
 		}
 		p.exec.retire(e, p)
 		p.batch++
@@ -197,6 +211,23 @@ func (p *connPipeline) writeLoop() {
 		}
 	}
 	p.flushResponses()
+}
+
+// await parks the completion stage on the connection's bell until c is
+// done (hand-off invariant H1: it never sleeps on a completed call). Any of
+// the connection's calls completing rings the bell, so a wake-up may find
+// c still pending — typically a later call that overtook the head — and
+// sleeps again.
+func (p *connPipeline) await(c *rpc.Call) {
+	for !c.Done() {
+		p.bell.Arm()
+		if c.Done() {
+			p.bell.Disarm()
+			return
+		}
+		p.s.connParks.Inc(p.exec.connID)
+		p.bell.Sleep()
+	}
 }
 
 // stripIdleBuffers returns every idle slot's leased buffers to the pool.

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"mutps/internal/arena"
+	"mutps/internal/bell"
 	"mutps/internal/kvcore"
 	"mutps/internal/obs"
 	"mutps/internal/rpc"
@@ -103,6 +104,22 @@ func (e *netOp) reset(op byte, key uint64) {
 	e.status = 0
 	e.msg = nil
 	e.mget = false
+	e.t0 = time.Time{}
+}
+
+// done reports whether retiring the slot would not block: every store call
+// it submitted has completed (pre-resolved and barrier slots have none;
+// mcalls is empty outside an mget).
+func (e *netOp) done() bool {
+	if e.call != nil && !e.call.Done() {
+		return false
+	}
+	for _, c := range e.mcalls {
+		if !c.Done() {
+			return false
+		}
+	}
+	return true
 }
 
 // releaseBufs returns every leased buffer the slot holds. Called when the
@@ -142,11 +159,15 @@ type respWriter interface {
 // connection: the submit half enters a netOp into the async facade, the
 // retire half resolves it into wire bytes through a respWriter. One
 // protoExec per connection; connID shards the per-op instruments and body
-// is the reusable scan/stats/mget response build buffer.
+// is the reusable scan/stats/mget response build buffer. notify, when the
+// transport sets it, is rung by every store call this connection submits
+// as it completes (the goroutine transport's completion stage parks on
+// it); nil leaves completion to rpc.Call.Wait alone.
 type protoExec struct {
 	s      *Server
 	connID int
 	body   []byte
+	notify *bell.Bell
 }
 
 // leaseVal ensures the slot has a destination buffer for a get.
@@ -173,14 +194,14 @@ func (x *protoExec) submit(e *netOp, payload []byte) {
 	switch e.op {
 	case OpGet:
 		x.leaseVal(e)
-		e.call, err = store.GetAsync(e.key, e.val[:0])
+		e.call, err = store.GetAsync(e.key, e.val[:0], x.notify)
 	case OpGetTTL:
 		// Same store path as a get; the remaining TTL is encoded at retire
 		// time from the call's expiry stamp.
 		x.leaseVal(e)
-		e.call, err = store.GetAsync(e.key, e.val[:0])
+		e.call, err = store.GetAsync(e.key, e.val[:0], x.notify)
 	case OpPut:
-		e.call, err = store.PutAsync(e.key, payload)
+		e.call, err = store.PutAsync(e.key, payload, x.notify)
 	case OpPutTTL:
 		if len(payload) < 8 {
 			e.status, e.msg = StatusError, errMsgPutTTLPayload
@@ -190,9 +211,9 @@ func (x *protoExec) submit(e *netOp, payload []byte) {
 		// store facade's ttl <= 0 convention. The value subslice stays
 		// valid until retire — it aliases the slot-owned payload buffer.
 		ttl := time.Duration(binary.LittleEndian.Uint64(payload))
-		e.call, err = store.PutTTLAsync(e.key, payload[8:], ttl)
+		e.call, err = store.PutTTLAsync(e.key, payload[8:], ttl, x.notify)
 	case OpDelete:
-		e.call, err = store.DeleteAsync(e.key)
+		e.call, err = store.DeleteAsync(e.key, x.notify)
 	case OpScan:
 		if len(payload) != 4 {
 			e.status, e.msg = StatusError, errMsgScanPayload
@@ -256,7 +277,7 @@ func (x *protoExec) submitMGet(e *netOp, payload []byte) {
 			e.mvals[i] = x.s.leaser.Get(valLeaseBytes)
 			e.mleased[i] = true
 		}
-		c, err := store.GetAsync(key, e.mvals[i][:0])
+		c, err := store.GetAsync(key, e.mvals[i][:0], x.notify)
 		if err != nil {
 			e.mgetErr = err
 			return
@@ -336,8 +357,11 @@ func (x *protoExec) retire(e *netOp, w respWriter) {
 		w.writeOut(e.status, e.msg)
 	}
 	if !obs.Disabled {
-		if li := latIndex(e.op); li >= 0 {
-			x.s.lat[li].Record(x.connID, uint64(time.Since(e.t0)))
+		// t0 is stamped only for a decoded, latency-tracked frame; one
+		// rejected from its header alone (oversized payload) may carry none
+		// and has no service time to record.
+		if !e.t0.IsZero() {
+			x.s.lat[latIndex(e.op)].Record(x.connID, uint64(time.Since(e.t0)))
 		}
 		x.s.retired.Inc(x.connID)
 		x.s.inflight.Add(-1)

@@ -108,7 +108,9 @@ func TestFrameDribbledByteByByte(t *testing.T) {
 // decoder must switch into payload-spill mode on the first chunk and keep
 // filling the leased payload across wakeups, and a frame sent immediately
 // after must parse cleanly (no spilled bytes may leak into the header
-// stream).
+// stream). The trailing frame reads a different key: a pipelined get of the
+// key being put is concurrent with that put — the two may execute on
+// different MR workers — so the big value is read back afterwards.
 func TestLargeFrameSplitAcrossWakeups(t *testing.T) {
 	forEachTransport(t, func(t *testing.T, srv *Server) {
 		conn, err := net.Dial("tcp", srv.Addr().String())
@@ -120,7 +122,14 @@ func TestLargeFrameSplitAcrossWakeups(t *testing.T) {
 		for i := range val {
 			val[i] = byte(i * 7)
 		}
-		frame := append(reqFrame(OpPut, 11, val), reqFrame(OpGet, 11, nil)...)
+		small := []byte("small")
+		if _, err := conn.Write(reqFrame(OpPut, 12, small)); err != nil {
+			t.Fatal(err)
+		}
+		if st, _ := readResp(t, conn); st != StatusFound {
+			t.Fatalf("small put status = %d", st)
+		}
+		frame := append(reqFrame(OpPut, 11, val), reqFrame(OpGet, 12, nil)...)
 		const chunk = 7000 // co-prime-ish with the 32 KiB staging buffer
 		for off := 0; off < len(frame); off += chunk {
 			end := min(off+chunk, len(frame))
@@ -131,6 +140,12 @@ func TestLargeFrameSplitAcrossWakeups(t *testing.T) {
 		}
 		if st, _ := readResp(t, conn); st != StatusFound {
 			t.Fatalf("put status = %d", st)
+		}
+		if st, body := readResp(t, conn); st != StatusFound || !bytes.Equal(body, small) {
+			t.Fatalf("get right behind the big put = %d %q, want %q", st, body, small)
+		}
+		if _, err := conn.Write(reqFrame(OpGet, 11, nil)); err != nil {
+			t.Fatal(err)
 		}
 		st, body := readResp(t, conn)
 		if st != StatusFound || !bytes.Equal(body, val) {

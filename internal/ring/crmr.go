@@ -3,6 +3,8 @@ package ring
 import (
 	"runtime"
 	"sync/atomic"
+
+	"mutps/internal/bell"
 )
 
 // CRMR is the all-to-all CR-MR queue: rings[c][m] is the dedicated SPSC
@@ -15,6 +17,11 @@ import (
 // each layer) never reallocates rings — idle rings simply stay empty.
 type CRMR struct {
 	rings [][]*SPSC
+
+	// bells[m] is MR column m's doorbell: a producer rings it after every
+	// batch it pushes into the column, so the column's consumer may park on
+	// it when every ring it scans is empty (DESIGN.md "Hand-offs").
+	bells []*bell.Bell
 }
 
 // NewCRMR builds a maxCR × maxMR matrix of rings with the given per-ring
@@ -23,15 +30,27 @@ func NewCRMR(maxCR, maxMR, capacity int) *CRMR {
 	if maxCR <= 0 || maxMR <= 0 {
 		panic("ring: CRMR dimensions must be positive")
 	}
-	q := &CRMR{rings: make([][]*SPSC, maxCR)}
+	q := &CRMR{rings: make([][]*SPSC, maxCR), bells: make([]*bell.Bell, maxMR)}
 	for c := range q.rings {
 		q.rings[c] = make([]*SPSC, maxMR)
 		for m := range q.rings[c] {
 			q.rings[c][m] = NewSPSC(capacity)
 		}
 	}
+	for m := range q.bells {
+		q.bells[m] = bell.New()
+	}
 	return q
 }
+
+// Bell returns MR column m's doorbell.
+func (q *CRMR) Bell(m int) *bell.Bell { return q.bells[m] }
+
+// SetBell makes b column m's doorbell. A consumer that also waits on
+// another source (the store's workers wait on their rpc slots too) shares
+// one bell between both, so a single Sleep covers either. Call it before
+// the first push to the column.
+func (q *CRMR) SetBell(m int, b *bell.Bell) { q.bells[m] = b }
 
 // MaxCR returns the producer-side dimension.
 func (q *CRMR) MaxCR() int { return len(q.rings) }
@@ -83,7 +102,8 @@ func (p *Producer) Add(req Request, mrBase, nMR int) (mr int, flushed bool) {
 }
 
 // Flush pushes any locally queued requests as one batch, spinning while
-// the target ring is full. It returns (-1, false) when nothing was queued.
+// the target ring is full, and rings the target column's bell. It returns
+// (-1, false) when nothing was queued.
 func (p *Producer) Flush(mrBase, nMR int) (mr int, flushed bool) {
 	if len(p.batch) == 0 {
 		return -1, false
@@ -102,6 +122,7 @@ func (p *Producer) Flush(mrBase, nMR int) (mr int, flushed bool) {
 		runtime.Gosched()
 	}
 	p.batch = p.batch[:0]
+	p.q.bells[m].Ring()
 	return m, true
 }
 

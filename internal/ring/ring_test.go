@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -305,5 +306,84 @@ func TestCRMREndToEndConcurrent(t *testing.T) {
 	wg.Wait()
 	if len(received) != nCR*perCR {
 		t.Fatalf("received %d, want %d", len(received), nCR*perCR)
+	}
+}
+
+// TestH1ConsumerParksOnColumnBell is the CR-MR side of the hand-off
+// invariant: consumers that sleep on their column's bell whenever every
+// ring they scan is empty still receive every batch, because Flush rings
+// the column it pushed to. No timer and no yield on the consumer side: a
+// push that fails to ring leaves a consumer asleep and the test hangs into
+// its deadline.
+func TestH1ConsumerParksOnColumnBell(t *testing.T) {
+	const (
+		nCR, nMR = 3, 2
+		perCR    = 20000
+		goodbye  = 1 // Type of a producer's last request to a column
+	)
+	q := NewCRMR(nCR, nMR, 16)
+	var got [nMR]int
+	var parks [nMR]int
+	var consumers sync.WaitGroup
+	for m := 0; m < nMR; m++ {
+		consumers.Add(1)
+		go func(m int) {
+			defer consumers.Done()
+			c, b := q.Consumer(m), q.Bell(m)
+			for byes := 0; byes < nCR; { // until every producer said goodbye
+				_, reqs, r := c.Poll(nCR)
+				if reqs == nil {
+					b.Arm()
+					if _, reqs, r = c.Poll(nCR); reqs == nil {
+						b.Sleep()
+						parks[m]++
+						continue
+					}
+					b.Disarm()
+				}
+				for _, req := range reqs {
+					if req.Type == goodbye {
+						byes++
+					}
+				}
+				got[m] += len(reqs)
+				r.Commit()
+			}
+		}(m)
+	}
+	for cw := 0; cw < nCR; cw++ {
+		go func(cw int) {
+			p := q.Producer(cw, 4)
+			for i := 0; i < perCR; i++ {
+				p.Add(Request{Key: uint64(i)}, 0, nMR)
+				if i%64 == 0 {
+					p.Flush(0, nMR) // a partial batch, then a gap to park in
+					runtime.Gosched()
+				}
+			}
+			p.Flush(0, nMR)
+			for m := 0; m < nMR; m++ { // one goodbye per column
+				p.Add(Request{Type: goodbye}, m, 1)
+				p.Flush(m, 1)
+			}
+		}(cw)
+	}
+	done := make(chan struct{})
+	go func() { consumers.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("lost wake-up: a consumer is asleep with batches in its column")
+	}
+	total, slept := 0, 0
+	for m := range got {
+		total += got[m]
+		slept += parks[m]
+	}
+	if want := nCR*perCR + nCR*nMR; total != want {
+		t.Fatalf("received %d requests, want %d", total, want)
+	}
+	if slept == 0 {
+		t.Fatal("no consumer ever parked: the sleep path was not exercised")
 	}
 }

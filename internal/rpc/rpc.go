@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mutps/internal/bell"
 	"mutps/internal/workload"
 )
 
@@ -42,23 +43,24 @@ type Message struct {
 	// The caller must not touch Dst between Send and Wait.
 	Dst []byte
 
+	// Notify is an optional bell Complete rings after the call is done. A
+	// caller with many calls in flight (a connection's completion stage)
+	// parks once on its own bell until any of them completes, instead of
+	// blocking in Wait call by call. The bell must outlive the call.
+	Notify *bell.Bell
+
 	call *Call
 }
 
 // Call state machine. A call is pending from Send until Complete; a waiter
-// that exhausts its spin budget CASes pending→parked and blocks on the
-// park channel, which Complete signals. done is terminal until the call is
+// that finds it pending CASes pending→parked and blocks on the park
+// channel, which Complete signals. done is terminal until the call is
 // recycled.
 const (
 	callPending uint32 = iota
 	callParked
 	callDone
 )
-
-// waitSpins is how many Gosched-yielding polls Wait makes before parking.
-// The common case — server completes while the client is still spinning —
-// then costs one atomic load and no channel operation at all.
-const waitSpins = 128
 
 // Call is the client-side future for a response. Calls are pooled: Send
 // draws from a sync.Pool and Release returns the call for reuse, making
@@ -73,8 +75,10 @@ const waitSpins = 128
 //
 // Release is optional — an unreleased call is simply collected by the GC.
 type Call struct {
-	state atomic.Uint32
-	park  chan struct{} // cap 1; reused across recycles
+	state  atomic.Uint32
+	park   chan struct{}  // cap 1; reused across recycles
+	notify *bell.Bell     // Message.Notify, rung by Complete
+	parks  *atomic.Uint64 // the owning server's Wait-park counter
 
 	// Results, valid after Wait returns and until Release.
 	Value    []byte   // get result (nil if missing); aliases Dst when it fit
@@ -109,18 +113,16 @@ func newCall() *Call {
 	return c
 }
 
-// Wait blocks until the server completes the call: a brief spin (the
-// common, already-completed case costs one atomic load), then park.
+// Wait blocks until the server completes the call: check, then park. An
+// already-completed call costs one atomic load; a pending one sleeps on
+// the park channel until Complete's token arrives — no yielding in between.
 func (c *Call) Wait() {
-	for i := 0; i < waitSpins; i++ {
-		if c.state.Load() == callDone {
-			return
-		}
-		runtime.Gosched()
+	if c.state.Load() == callDone {
+		return
 	}
 	if c.state.CompareAndSwap(callPending, callParked) {
+		c.parks.Add(1)
 		<-c.park
-		return
 	}
 	// CAS failed: Complete won the race and the state is already done.
 }
@@ -131,15 +133,13 @@ func (c *Call) Wait() {
 // (and must not reuse its Dst buffer) until it eventually completes. The
 // same single-waiter rule as Wait applies.
 func (c *Call) WaitTimeout(d time.Duration) bool {
-	for i := 0; i < waitSpins; i++ {
-		if c.state.Load() == callDone {
-			return true
-		}
-		runtime.Gosched()
+	if c.state.Load() == callDone {
+		return true
 	}
 	if !c.state.CompareAndSwap(callPending, callParked) {
 		return true // Complete won the race
 	}
+	c.parks.Add(1)
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -167,10 +167,17 @@ func (c *Call) WaitTimeout(d time.Duration) bool {
 // block for the result.
 func (c *Call) Done() bool { return c.state.Load() == callDone }
 
-// Complete finishes the call; servers call it exactly once per Send.
+// Complete finishes the call; servers call it exactly once per Send. The
+// notify bell is read before the state swap: once the call is done its
+// waiter may Release it, and a recycled call's fields belong to the next
+// Send.
 func (c *Call) Complete() {
+	n := c.notify
 	if c.state.Swap(callDone) == callParked {
 		c.park <- struct{}{}
+	}
+	if n != nil {
+		n.Ring()
 	}
 }
 
@@ -188,6 +195,8 @@ func (c *Call) Fail(err error) {
 func (c *Call) Release() {
 	c.Value = nil
 	c.Dst = nil
+	c.notify = nil
+	c.parks = nil
 	c.Found = false
 	c.Expiry = 0
 	c.Expired = false
@@ -275,9 +284,15 @@ type Server struct {
 	backlogged atomic.Uint64 // Sends failed with ErrBacklogged (observability)
 
 	reconfigs atomic.Uint64 // schedule changes applied (observability)
+	waitParks atomic.Uint64 // Call.Wait/WaitTimeout calls that had to park
 
 	cursors    []cursorPad // per-worker base: all slots below are consumed or disowned
 	maxWorkers int
+
+	// bells[w] is worker w's doorbell (DESIGN.md "Hand-offs"): Send rings
+	// the owner of the slot it published; Reconfigure and Close ring every
+	// worker, since they change what each worker owns.
+	bells []*bell.Bell
 }
 
 type cursorPad struct {
@@ -302,9 +317,13 @@ func NewServer(capacity, maxWorkers, n int) *Server {
 		slots:      make([]slot, c),
 		cursors:    make([]cursorPad, maxWorkers),
 		maxWorkers: maxWorkers,
+		bells:      make([]*bell.Bell, maxWorkers),
 	}
 	for i := range s.slots {
 		s.slots[i].seq.Store(uint64(i))
+	}
+	for w := range s.bells {
+		s.bells[w] = bell.New()
 	}
 	s.sched.Store(&schedule{phases: []phase{{0, n}}})
 	// Cursors start at base 0; each worker derives its owned slots from the
@@ -322,9 +341,44 @@ func (s *Server) Workers() int {
 	return ph[len(ph)-1].n
 }
 
+// Bell returns worker w's doorbell. A worker that finds Poll empty arms it,
+// polls once more, and sleeps; anything else the worker waits for (its
+// CR-MR column, shutdown progress) must ring the same bell.
+func (s *Server) Bell(w int) *bell.Bell { return s.bells[w] }
+
+// RingAll rings every worker's bell: the wake-up for conditions that are
+// not tied to one slot (schedule changes, shutdown progress).
+func (s *Server) RingAll() {
+	for _, b := range s.bells {
+		b.Ring()
+	}
+}
+
+// ringOwner rings the worker that owns the just-published slot pos under
+// the live schedule. The phase governing a published, unconsumed slot never
+// changes (Reconfigure only appends beyond every claimed ticket and prunes
+// below every worker's next owned slot), so the owner derived here is the
+// worker whose Poll will find it; if pruning has already dropped that
+// phase, the slot has been consumed and nobody needs waking.
+func (s *Server) ringOwner(pos uint64) {
+	ph := s.sched.Load().phases
+	for i := len(ph) - 1; i >= 0; i-- {
+		if ph[i].start <= pos {
+			if n := uint64(ph[i].n); n > 0 {
+				s.bells[pos%n].Ring()
+			}
+			return
+		}
+	}
+}
+
+// WaitParks returns how many Call.Wait/WaitTimeout calls found their call
+// still pending and parked.
+func (s *Server) WaitParks() uint64 { return s.waitParks.Load() }
+
 // Backpressure budget for a Send that finds the ring full (§3.4): first a
 // run of scheduler yields (cheap; absorbs transient consumer hiccups),
-// then a run of short naps (absorbs IdleSleep-parked workers), then give
+// then a run of short naps (absorbs a descheduled consumer), then give
 // up with ErrBacklogged. The worst case is roughly sendFullNaps×sendFullNap
 // ≈ 20ms plus scheduling noise — generous enough that a live-but-busy
 // server never trips it, and bounded so a stalled server fails fast
@@ -355,6 +409,8 @@ func (s *Server) Send(m Message) (*Call, error) {
 	}
 	call := newCall()
 	call.Dst = m.Dst
+	call.notify = m.Notify
+	call.parks = &s.waitParks
 	m.call = call
 	full := 0
 	for {
@@ -369,6 +425,7 @@ func (s *Server) Send(m Message) (*Call, error) {
 			if s.ticket.CompareAndSwap(pos, pos+1) {
 				sl.msg = m
 				sl.seq.Store(pos + 1)
+				s.ringOwner(pos)
 				return call, nil
 			}
 			continue // lost the claim race; reload the ticket
@@ -510,8 +567,10 @@ func (s *Server) Reconfigure(newN int) uint64 {
 		phases = phases[keepFrom:]
 		if s.sched.CompareAndSwap(old, &schedule{phases: phases}) {
 			// Parked workers re-derive their position from the new
-			// schedule on their next Poll; nothing else to do.
+			// schedule on their next Poll: wake them all, the change may
+			// retire or activate any of them.
 			s.reconfigs.Add(1)
+			s.RingAll()
 			return sw
 		}
 	}
@@ -606,9 +665,10 @@ func (s *Server) Close() {
 			}
 			phases = append(phases, phase{start: term, n: 0})
 			if s.sched.CompareAndSwap(old, &schedule{phases: phases}) {
-				return
+				break
 			}
 		}
+		s.RingAll() // parked workers must see the terminal phase and retire
 	})
 }
 

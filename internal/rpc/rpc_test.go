@@ -518,7 +518,7 @@ func TestCallParkWakeup(t *testing.T) {
 	s := NewServer(8, 2, 1)
 	call, _ := s.Send(Message{Op: workload.OpGet, Key: 1})
 	go func() {
-		time.Sleep(2 * time.Millisecond) // let the waiter exhaust its spins
+		time.Sleep(2 * time.Millisecond) // let the waiter park
 		m, ok, _ := s.Poll(0)
 		if !ok {
 			panic("missing message")
