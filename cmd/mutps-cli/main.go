@@ -74,10 +74,6 @@ func run(cli *netserver.Client, line string) (quit bool) {
 	case "get":
 		if k, ok := key(1); ok {
 			v, ttl, found, err := cli.GetTTL(k)
-			if err != nil {
-				// A pre-TTL server rejects the op; degrade to a plain get.
-				v, found, err = cli.Get(k)
-			}
 			report(err, func() {
 				switch {
 				case found && ttl > 0:
@@ -97,11 +93,6 @@ func run(cli *netserver.Client, line string) (quit bool) {
 			}
 			val := strings.Join(fields[2:], " ")
 			err := cli.PutTTL(k, []byte(val), putTTL)
-			if err != nil && putTTL <= 0 {
-				// A pre-TTL server rejects the op; with no TTL requested the
-				// plain put is equivalent.
-				err = cli.Put(k, []byte(val))
-			}
 			report(err, func() { fmt.Println("ok") })
 		}
 	case "del":
@@ -110,8 +101,6 @@ func run(cli *netserver.Client, line string) (quit bool) {
 			report(err, func() { fmt.Println(map[bool]string{true: "deleted", false: "(not found)"}[found]) })
 		}
 	case "stats":
-		// StatsMap speaks the versioned stats op and degrades to the five
-		// legacy counters against an old server.
 		m, err := cli.StatsMap()
 		report(err, func() {
 			names := make([]string, 0, len(m))

@@ -33,68 +33,129 @@ import (
 )
 
 // backlogged counts requests the server shed with a retryable
-// StatusBacklogged reply: retried on the synchronous path, skipped on the
-// pipelined path, reported either way so overload is visible in the run
-// summary instead of aborting it.
+// StatusBacklogged reply: retried where that cannot reorder anything (one
+// request in flight), skipped otherwise, reported either way so overload
+// is visible in the run summary instead of aborting it.
 var backlogged atomic.Uint64
 
 // backloggedRetryDelay is the backoff before retrying a shed request.
 const backloggedRetryDelay = 200 * time.Microsecond
 
+// retryShed runs one synchronous call until the server stops shedding it,
+// backing off between attempts, and returns its final error.
+func retryShed(do func() error) error {
+	for {
+		err := do()
+		if !errors.Is(err, netserver.ErrBacklogged) {
+			return err
+		}
+		backlogged.Add(1)
+		time.Sleep(backloggedRetryDelay)
+	}
+}
+
+// printLatency prints a run's latency percentiles.
+func printLatency(snap obs.HistSnapshot) {
+	pct := func(p float64) time.Duration { return time.Duration(snap.Quantile(p)).Round(time.Microsecond) }
+	fmt.Printf("latency: P50 %v  P95 %v  P99 %v  max %v\n",
+		pct(0.50), pct(0.95), pct(0.99), time.Duration(snap.Max).Round(time.Microsecond))
+}
+
+// newGen returns worker w's request source: a replay of trace when there is
+// one, else a generator over cfg seeded per worker.
+func newGen(trace []workload.Request, cfg workload.Config, w int) interface{ Next() workload.Request } {
+	if trace != nil {
+		return workload.NewTraceGenerator(trace)
+	}
+	cfg.Seed = uint64(w + 1)
+	return workload.NewGenerator(cfg)
+}
+
+// loadKeys stores val under keys [0, n) over one synchronous connection.
+func loadKeys(cli *netserver.Client, n uint64, val []byte) {
+	start := time.Now()
+	for k := uint64(0); k < n; k++ {
+		if err := retryShed(func() error { return cli.Put(k, val) }); err != nil {
+			log.Fatal(err)
+		}
+	}
+	fmt.Printf("loaded %d keys in %v\n", n, time.Since(start).Round(time.Millisecond))
+}
+
+// options is every flag plus what main derives from them; each mode reads
+// the ones it needs.
+type options struct {
+	addr           string
+	mixName        string
+	keys           uint64
+	theta          float64
+	valueSize      int
+	valueSpread    int
+	ops            int
+	clients        int
+	inflight       int
+	load           bool
+	traceFile      string
+	opTimeout      time.Duration
+	cluster        string
+	mget           int
+	largeThreshold int
+	largeShards    string
+	benchJSON      string
+	ttl            time.Duration
+	conns          int
+	activeFraction float64
+	scenario       string
+	scenarioScale  float64
+	scenarioWindow time.Duration
+
+	wl    workload.Config    // what -mix/-keys/-theta/-value/-value-spread describe; newGen seeds it per worker
+	trace []workload.Request // -trace, loaded
+}
+
 func main() {
-	addr := flag.String("addr", "localhost:7070", "server address")
-	mixName := flag.String("mix", "A", "YCSB mix: A, B, C, E, PUT, GET")
-	keys := flag.Uint64("keys", 100_000, "keyspace size")
-	theta := flag.Float64("theta", 0.99, "zipfian skew (0 = uniform)")
-	valueSize := flag.Int("value", 64, "value size in bytes")
-	valueSpread := flag.Int("value-spread", 0,
+	o := &options{}
+	flag.StringVar(&o.addr, "addr", "localhost:7070", "server address")
+	flag.StringVar(&o.mixName, "mix", "A", "YCSB mix: A, B, C, E, PUT, GET")
+	flag.Uint64Var(&o.keys, "keys", 100_000, "keyspace size")
+	flag.Float64Var(&o.theta, "theta", 0.99, "zipfian skew (0 = uniform)")
+	flag.IntVar(&o.valueSize, "value", 64, "value size in bytes")
+	flag.IntVar(&o.valueSpread, "value-spread", 0,
 		"sample put value sizes uniformly in [value, value+spread]; a spread crossing power-of-two boundaries forces item replacement (not in-place update) on the server (0 = fixed size)")
-	ops := flag.Int("ops", 100_000, "total operations")
-	clients := flag.Int("clients", 4, "concurrent connections")
-	depth := flag.Int("depth", 1, "deprecated alias for -inflight")
-	inflight := flag.Int("inflight", 0, "requests in flight per connection (>1 uses the pipelined client; matches the server's per-connection window)")
-	load := flag.Bool("load", true, "pre-populate the keyspace first")
-	traceFile := flag.String("trace", "", "replay a CSV trace instead of YCSB")
-	opTimeout := flag.Duration("op-timeout", 0,
-		"per-operation deadline on synchronous connections; a timed-out connection is abandoned (0 disables)")
-	clusterAddrs := flag.String("cluster", "",
+	flag.IntVar(&o.ops, "ops", 100_000, "total operations")
+	flag.IntVar(&o.clients, "clients", 4, "concurrent connections")
+	flag.IntVar(&o.inflight, "inflight", 1, "requests in flight per connection (1 = one synchronous request at a time; matches the server's per-connection window)")
+	flag.BoolVar(&o.load, "load", true, "pre-populate the keyspace first")
+	flag.StringVar(&o.traceFile, "trace", "", "replay a CSV trace instead of YCSB")
+	flag.DurationVar(&o.opTimeout, "op-timeout", 0,
+		"per-operation deadline: a connection that gets no response for this long after its last send fails the run (0 disables)")
+	flag.StringVar(&o.cluster, "cluster", "",
 		"comma-separated shard addresses; enables the cluster-aware client (consistent-hash routing, per-shard pipelines) instead of -addr")
-	mgetBatch := flag.Int("mget", 64,
+	flag.IntVar(&o.mget, "mget", 64,
 		"cluster mode: group this many consecutive gets into batched per-shard mget frames (1 = per-key gets)")
-	largeThreshold := flag.Int("large-threshold", 0,
+	flag.IntVar(&o.largeThreshold, "large-threshold", 0,
 		"cluster mode: route puts with values >= this many bytes to the large-object shard set (0 disables size-aware placement)")
-	largeShards := flag.String("large-shards", "",
+	flag.StringVar(&o.largeShards, "large-shards", "",
 		"cluster mode: comma-separated shard indices forming the large-object set (default: the last shard)")
-	benchJSON := flag.String("bench-json", "",
+	flag.StringVar(&o.benchJSON, "bench-json", "",
 		"append a machine-readable JSON-lines result record (ops/s, P50/P99, run parameters) to this file; works for single-node and cluster runs")
-	putTTL := flag.Duration("ttl", 0,
+	flag.DurationVar(&o.ttl, "ttl", 0,
 		"stamp this TTL on every put (single-node mode), driving the server's expiry path under load (0 = no TTL)")
-	conns := flag.Int("conns", 0,
+	flag.IntVar(&o.conns, "conns", 0,
 		"sparse-activity mode: hold this many open connections and drive only an -active-fraction subset at a time, rotating; measures what mostly-idle connections cost the server (0 = off)")
-	activeFraction := flag.Float64("active-fraction", 0.01,
+	flag.Float64Var(&o.activeFraction, "active-fraction", 0.01,
 		"sparse-activity mode: fraction of -conns issuing requests at any instant; activity rotates across the whole set in short pipelined bursts")
-	scenarioName := flag.String("scenario", "",
+	flag.StringVar(&o.scenario, "scenario", "",
 		"run a scripted dynamic-workload scenario from the benchmark matrix against the server, emitting one normalized record per measurement window ('list' prints the matrix); supersedes -mix/-ops")
-	scenarioScale := flag.Float64("scenario-scale", 1,
+	flag.Float64Var(&o.scenarioScale, "scenario-scale", 1,
 		"multiply every scenario phase duration by this factor (CI smoke runs use ~0.05)")
-	scenarioWindow := flag.Duration("scenario-window", 100*time.Millisecond,
+	flag.DurationVar(&o.scenarioWindow, "scenario-window", 100*time.Millisecond,
 		"measurement-window width of -scenario records")
 	flag.Parse()
-	// -inflight supersedes -depth; the old name keeps working as an alias.
-	if *inflight > 0 {
-		*depth = *inflight
-	}
+	o.inflight = max(o.inflight, 1)
 
-	if *scenarioName != "" {
-		runScenario(scenarioRun{
-			name:      *scenarioName,
-			scale:     *scenarioScale,
-			addr:      *addr,
-			window:    *scenarioWindow,
-			load:      *load,
-			opTimeout: *opTimeout,
-			benchJSON: *benchJSON,
-		})
+	if o.scenario != "" {
+		runScenario(o)
 		return
 	}
 
@@ -102,192 +163,94 @@ func main() {
 		"A": workload.MixYCSBA, "B": workload.MixYCSBB, "C": workload.MixYCSBC,
 		"E": workload.MixYCSBE, "PUT": workload.MixPutOnly, "GET": workload.MixYCSBC,
 	}
-	mix, ok := mixes[*mixName]
+	mix, ok := mixes[o.mixName]
 	if !ok {
-		log.Fatalf("unknown mix %q", *mixName)
+		log.Fatalf("unknown mix %q", o.mixName)
 	}
-	var sizeDist workload.SizeDist = workload.FixedSize(*valueSize)
-	if *valueSpread > 0 {
-		sizeDist = workload.UniformSize{Min: *valueSize, Max: *valueSize + *valueSpread}
+	o.wl = workload.Config{Keys: o.keys, Theta: o.theta, Mix: mix, ValueSize: workload.FixedSize(o.valueSize)}
+	if o.valueSpread > 0 {
+		o.wl.ValueSize = workload.UniformSize{Min: o.valueSize, Max: o.valueSize + o.valueSpread}
 	}
 
-	var trace []workload.Request
-	if *traceFile != "" {
-		f, err := os.Open(*traceFile)
+	if o.traceFile != "" {
+		f, err := os.Open(o.traceFile)
 		if err != nil {
 			log.Fatal(err)
 		}
-		trace, err = workload.ReadTrace(f, *ops)
+		o.trace, err = workload.ReadTrace(f, o.ops)
 		f.Close()
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("replaying %d trace requests\n", len(trace))
+		fmt.Printf("replaying %d trace requests\n", len(o.trace))
 	}
 
-	if *clusterAddrs != "" {
-		runCluster(clusterRun{
-			addrs:     strings.Split(*clusterAddrs, ","),
-			mixName:   *mixName,
-			mix:       mix,
-			sizeDist:  sizeDist,
-			keys:      *keys,
-			theta:     *theta,
-			valueSize: *valueSize,
-			ops:       *ops,
-			clients:   *clients,
-			inflight:  *depth,
-			mgetBatch: *mgetBatch,
-			threshold: *largeThreshold,
-			largeSet:  parseShardList(*largeShards),
-			load:      *load && trace == nil,
-			trace:     trace,
-			benchJSON: *benchJSON,
-		})
+	if o.cluster != "" {
+		runCluster(o)
 		return
 	}
 
-	if *load && trace == nil {
-		cli, err := netserver.DialTimeout(*addr, 0, *opTimeout)
+	if o.load && o.trace == nil {
+		cli, err := netserver.DialTimeout(o.addr, 0, o.opTimeout)
 		if err != nil {
 			log.Fatal(err)
 		}
-		val := make([]byte, *valueSize)
-		start := time.Now()
-		for k := uint64(0); k < *keys; k++ {
-			for {
-				err := cli.Put(k, val)
-				if errors.Is(err, netserver.ErrBacklogged) {
-					backlogged.Add(1)
-					time.Sleep(backloggedRetryDelay)
-					continue
-				}
-				if err != nil {
-					log.Fatal(err)
-				}
-				break
-			}
-		}
+		loadKeys(cli, o.keys, make([]byte, o.valueSize))
 		cli.Close()
-		fmt.Printf("loaded %d keys in %v\n", *keys, time.Since(start).Round(time.Millisecond))
 	}
 
-	if *conns > 0 {
-		runSparse(sparseRun{
-			addr:      *addr,
-			conns:     *conns,
-			fraction:  *activeFraction,
-			inflight:  *depth,
-			mixName:   *mixName,
-			mix:       mix,
-			sizeDist:  sizeDist,
-			keys:      *keys,
-			theta:     *theta,
-			valueSize: *valueSize,
-			ops:       *ops,
-			opTimeout: *opTimeout,
-			benchJSON: *benchJSON,
-		})
+	if o.conns > 0 {
+		runSparse(o)
 		return
 	}
 
 	// Latencies land in a fixed-bucket log₂ histogram sharded per client —
 	// O(1) memory regardless of -ops, where the old sort-all-samples
 	// approach kept every duration in RAM.
-	perClient := *ops / *clients
-	hist := obs.NewHistogram(*clients)
+	perClient := o.ops / o.clients
+	hist := obs.NewHistogram(o.clients)
 	var wg sync.WaitGroup
-	serverBefore := serverGCSnapshot(*addr, *opTimeout)
+	serverBefore := serverGCSnapshot(o.addr, o.opTimeout)
 	var memBefore runtime.MemStats
 	runtime.ReadMemStats(&memBefore)
 	start := time.Now()
-	for c := 0; c < *clients; c++ {
+	for c := 0; c < o.clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			var gen interface{ Next() workload.Request }
-			if trace != nil {
-				gen = workload.NewTraceGenerator(trace)
-			} else {
-				gen = workload.NewGenerator(workload.Config{
-					Keys: *keys, Theta: *theta, Mix: mix,
-					ValueSize: sizeDist, Seed: uint64(c + 1),
-				})
-			}
-			if *depth > 1 {
-				runPipelined(c, *addr, *depth, *valueSize, perClient, gen, hist)
-				return
-			}
-			cli, err := netserver.DialTimeout(*addr, 0, *opTimeout)
+			pc, err := netserver.DialPipeline(o.addr, o.inflight)
 			if err != nil {
 				log.Fatal(err)
 			}
-			defer cli.Close()
-			buf := make([]byte, *valueSize)
-			for i := 0; i < perClient; i++ {
-				req := gen.Next()
-				t0 := time.Now()
-				for {
-					var err error
-					switch req.Op {
-					case workload.OpGet:
-						_, _, err = cli.Get(req.Key)
-					case workload.OpPut:
-						v := buf
-						if req.ValueSize > 0 && req.ValueSize != len(buf) {
-							v = make([]byte, req.ValueSize)
-						}
-						if *putTTL > 0 {
-							err = cli.PutTTL(req.Key, v, *putTTL)
-						} else {
-							err = cli.Put(req.Key, v)
-						}
-					case workload.OpDelete:
-						_, err = cli.Delete(req.Key)
-					case workload.OpScan:
-						_, err = cli.Scan(req.Key, req.ScanCount)
-					}
-					if errors.Is(err, netserver.ErrBacklogged) {
-						backlogged.Add(1)
-						time.Sleep(backloggedRetryDelay)
-						continue
-					}
-					if err != nil {
-						log.Fatalf("client %d: %v", c, err)
-					}
-					break
-				}
-				hist.Record(c, uint64(time.Since(t0)))
-			}
+			defer pc.Close()
+			d := newDriver(c, newGen(o.trace, o.wl, c), hist, o.inflight, o.valueSize, o.ttl, o.opTimeout)
+			d.drive(pc, perClient)
 		}(c)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
 	var memAfter runtime.MemStats
 	runtime.ReadMemStats(&memAfter)
-	serverAfter := serverGCSnapshot(*addr, *opTimeout)
+	serverAfter := serverGCSnapshot(o.addr, o.opTimeout)
 
 	snap := hist.Snapshot()
-	pct := func(p float64) time.Duration { return time.Duration(snap.Quantile(p)) }
-	fmt.Printf("%d ops across %d clients in %v\n", snap.Count, *clients, elapsed.Round(time.Millisecond))
+	fmt.Printf("%d ops across %d clients in %v\n", snap.Count, o.clients, elapsed.Round(time.Millisecond))
 	fmt.Printf("throughput: %.0f ops/s\n", float64(snap.Count)/elapsed.Seconds())
-	fmt.Printf("latency: P50 %v  P95 %v  P99 %v  max %v\n",
-		pct(0.50).Round(time.Microsecond), pct(0.95).Round(time.Microsecond),
-		pct(0.99).Round(time.Microsecond), time.Duration(snap.Max).Round(time.Microsecond))
+	printLatency(snap)
 	if n := backlogged.Load(); n > 0 {
-		fmt.Printf("backpressure: server shed %d requests (retried synchronously, skipped when pipelined)\n", n)
+		fmt.Printf("backpressure: server shed %d requests (retried at -inflight 1, skipped above)\n", n)
 	}
 	printAllocSummary(snap.Count, elapsed, &memBefore, &memAfter, serverBefore, serverAfter)
-	if *benchJSON != "" {
+	if o.benchJSON != "" {
 		rec := benchfmt.New("loadgen")
 		rec.Config = map[string]any{
-			"mix":        *mixName,
-			"keys":       *keys,
-			"theta":      *theta,
-			"value_size": *valueSize,
-			"ttl_ns":     int64(*putTTL),
-			"clients":    *clients,
-			"inflight":   *depth,
+			"mix":        o.mixName,
+			"keys":       o.keys,
+			"theta":      o.theta,
+			"value_size": o.valueSize,
+			"ttl_ns":     int64(o.ttl),
+			"clients":    o.clients,
+			"inflight":   o.inflight,
 		}
 		rec.Ops = snap.Count
 		rec.OpsPerSec = float64(snap.Count) / elapsed.Seconds()
@@ -298,14 +261,14 @@ func main() {
 			"max_ns":     snap.Max,
 			"backlogged": backlogged.Load(),
 		}
-		appendBench(*benchJSON, rec)
+		appendBench(o.benchJSON, rec)
 	}
 }
 
 // serverGCSnapshot fetches the server's stats payload on a throwaway
 // connection, for the before/after GC delta in the run summary. Best
-// effort: a server too old to speak the versioned stats op (or already
-// gone at run end) yields nil and the summary omits the server column.
+// effort: a server already gone at run end yields nil and the summary
+// omits the server column.
 func serverGCSnapshot(addr string, opTimeout time.Duration) map[string]float64 {
 	cli, err := netserver.DialTimeout(addr, 0, opTimeout)
 	if err != nil {
@@ -355,26 +318,6 @@ func printAllocSummary(ops uint64, elapsed time.Duration,
 	}
 }
 
-// clusterRun carries the cluster-mode parameters from flag parsing.
-type clusterRun struct {
-	addrs     []string
-	mixName   string
-	mix       workload.Mix
-	sizeDist  workload.SizeDist
-	keys      uint64
-	theta     float64
-	valueSize int
-	ops       int
-	clients   int
-	inflight  int
-	mgetBatch int
-	threshold int
-	largeSet  []int
-	load      bool
-	trace     []workload.Request
-	benchJSON string
-}
-
 // parseShardList parses "0,2,3" into shard indices.
 func parseShardList(s string) []int {
 	if s == "" {
@@ -395,84 +338,64 @@ func parseShardList(s string) []int {
 // consistent-hash routing, one pipelined connection per shard, and
 // consecutive gets coalesced into batched per-shard mget frames. Batch
 // latency is recorded once per key (every key in a frame experienced it).
-func runCluster(r clusterRun) {
+func runCluster(o *options) {
+	addrs := strings.Split(o.cluster, ",")
 	cli, err := cluster.Dial(cluster.Config{
-		Addrs:         r.addrs,
-		Inflight:      max(r.inflight, 2),
-		MGetBatch:     r.mgetBatch,
-		SizeThreshold: r.threshold,
-		LargeShards:   r.largeSet,
+		Addrs:         addrs,
+		Inflight:      max(o.inflight, 2),
+		MGetBatch:     o.mget,
+		SizeThreshold: o.largeThreshold,
+		LargeShards:   parseShardList(o.largeShards),
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer cli.Close()
-	fmt.Printf("cluster of %d shards: %s\n", cli.Shards(), strings.Join(r.addrs, ", "))
+	fmt.Printf("cluster of %d shards: %s\n", cli.Shards(), strings.Join(addrs, ", "))
 
-	if r.load {
+	if o.load && o.trace == nil {
 		// Stripe the load across goroutines: cluster puts are synchronous
 		// (one RTT each), so concurrency is what overlaps the per-shard
 		// round trips.
-		loaders := max(r.clients, 8)
+		loaders := max(o.clients, 8)
 		start := time.Now()
 		var lwg sync.WaitGroup
 		for w := 0; w < loaders; w++ {
 			lwg.Add(1)
 			go func(w int) {
 				defer lwg.Done()
-				val := make([]byte, r.valueSize)
-				for k := uint64(w); k < r.keys; k += uint64(loaders) {
-					for {
-						err := cli.Put(k, val)
-						if errors.Is(err, netserver.ErrBacklogged) {
-							backlogged.Add(1)
-							time.Sleep(backloggedRetryDelay)
-							continue
-						}
-						if err != nil {
-							log.Fatal(err)
-						}
-						break
+				val := make([]byte, o.valueSize)
+				for k := uint64(w); k < o.wl.Keys; k += uint64(loaders) {
+					if err := retryShed(func() error { return cli.Put(k, val) }); err != nil {
+						log.Fatal(err)
 					}
 				}
 			}(w)
 		}
 		lwg.Wait()
 		fmt.Printf("loaded %d keys across %d shards in %v\n",
-			r.keys, cli.Shards(), time.Since(start).Round(time.Millisecond))
+			o.wl.Keys, cli.Shards(), time.Since(start).Round(time.Millisecond))
 	}
 
-	perClient := r.ops / r.clients
-	hist := obs.NewHistogram(r.clients)
+	perClient := o.ops / o.clients
+	hist := obs.NewHistogram(o.clients)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for c := 0; c < r.clients; c++ {
+	for c := 0; c < o.clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			var gen interface{ Next() workload.Request }
-			if r.trace != nil {
-				gen = workload.NewTraceGenerator(r.trace)
-			} else {
-				gen = workload.NewGenerator(workload.Config{
-					Keys: r.keys, Theta: r.theta, Mix: r.mix,
-					ValueSize: r.sizeDist, Seed: uint64(c + 1),
-				})
-			}
-			clusterWorker(c, cli, gen, perClient, r, hist)
+			clusterWorker(c, cli, newGen(o.trace, o.wl, c), perClient, o, hist)
 		}(c)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
 
 	snap := hist.Snapshot()
-	pct := func(p float64) time.Duration { return time.Duration(snap.Quantile(p)) }
 	opsPerSec := float64(snap.Count) / elapsed.Seconds()
-	fmt.Printf("%d ops across %d clients in %v\n", snap.Count, r.clients, elapsed.Round(time.Millisecond))
+	fmt.Printf("%d ops across %d clients in %v\n", snap.Count, o.clients, elapsed.Round(time.Millisecond))
 	fmt.Printf("throughput: %.0f ops/s aggregate over %d shards\n", opsPerSec, cli.Shards())
-	fmt.Printf("latency: P50 %v  P95 %v  P99 %v  max %v\n",
-		pct(0.50).Round(time.Microsecond), pct(0.95).Round(time.Microsecond),
-		pct(0.99).Round(time.Microsecond), time.Duration(snap.Max).Round(time.Microsecond))
+	printLatency(snap)
 	if n := backlogged.Load(); n > 0 {
 		fmt.Printf("backpressure: shards shed %d requests\n", n)
 	}
@@ -482,18 +405,18 @@ func runCluster(r clusterRun) {
 	keysPerFrame := 0.0
 	if frames > 0 {
 		keysPerFrame = m["mutps_cluster_mget_keys_per_frame_sum"] / frames
-		fmt.Printf("fan-out: %.0f mget frames, %.1f keys/frame avg, %.0f fallback frames, %.0f large-routed puts\n",
-			frames, keysPerFrame, m["mutps_cluster_mget_fallback_total"], m["mutps_cluster_large_routed_total"])
+		fmt.Printf("fan-out: %.0f mget frames, %.1f keys/frame avg, %.0f large-routed puts\n",
+			frames, keysPerFrame, m["mutps_cluster_large_routed_total"])
 	}
-	if r.benchJSON != "" {
+	if o.benchJSON != "" {
 		rec := benchfmt.New("cluster-loadgen")
 		rec.Config = map[string]any{
 			"shards":         cli.Shards(),
-			"mix":            r.mixName,
-			"clients":        r.clients,
-			"inflight":       r.inflight,
-			"batch_size":     r.mgetBatch,
-			"size_threshold": r.threshold,
+			"mix":            o.mixName,
+			"clients":        o.clients,
+			"inflight":       o.inflight,
+			"batch_size":     o.mget,
+			"size_threshold": o.largeThreshold,
 		}
 		rec.Ops = snap.Count
 		rec.OpsPerSec = opsPerSec
@@ -502,57 +425,53 @@ func runCluster(r clusterRun) {
 		rec.Extra = map[string]any{
 			"avg_keys_per_frame": keysPerFrame,
 			"mget_frames":        frames,
-			"fallback_frames":    m["mutps_cluster_mget_fallback_total"],
 			"backlogged":         backlogged.Load(),
 		}
-		appendBench(r.benchJSON, rec)
+		appendBench(o.benchJSON, rec)
 	}
 }
 
 // clusterWorker issues one client goroutine's share of the workload:
 // consecutive gets accumulate into an mget batch that flushes at
-// r.mgetBatch keys (or when a non-get op arrives, preserving rough
+// -mget keys (or when a non-get op arrives, preserving rough
 // program order), everything else runs point-to-point.
 func clusterWorker(c int, cli *cluster.Client,
-	gen interface{ Next() workload.Request }, ops int, r clusterRun, hist *obs.Histogram) {
-	batch := make([]uint64, 0, max(r.mgetBatch, 1))
-	buf := make([]byte, r.valueSize)
+	gen interface{ Next() workload.Request }, ops int, o *options, hist *obs.Histogram) {
+	batch := make([]uint64, 0, max(o.mget, 1))
+	buf := make([]byte, o.valueSize)
 	flushBatch := func() {
 		if len(batch) == 0 {
 			return
 		}
-		for {
-			t0 := time.Now()
+		// Gets are idempotent: a shed frame retries the whole frame set, and
+		// the latency recorded is that of the attempt that was served.
+		var t0 time.Time
+		err := retryShed(func() error {
+			t0 = time.Now()
 			_, _, err := cli.MGet(batch)
-			if errors.Is(err, netserver.ErrBacklogged) {
-				backlogged.Add(1)
-				time.Sleep(backloggedRetryDelay)
-				continue // gets are idempotent: retry the whole frame set
-			}
-			if err != nil {
-				log.Fatalf("client %d: mget: %v", c, err)
-			}
-			lat := uint64(time.Since(t0))
-			for range batch {
-				hist.Record(c, lat)
-			}
-			break
+			return err
+		})
+		if err != nil {
+			log.Fatalf("client %d: mget: %v", c, err)
+		}
+		lat := uint64(time.Since(t0))
+		for range batch {
+			hist.Record(c, lat)
 		}
 		batch = batch[:0]
 	}
 	for i := 0; i < ops; i++ {
 		req := gen.Next()
-		if req.Op == workload.OpGet && r.mgetBatch > 1 {
+		if req.Op == workload.OpGet && o.mget > 1 {
 			batch = append(batch, req.Key)
-			if len(batch) >= r.mgetBatch {
+			if len(batch) >= o.mget {
 				flushBatch()
 			}
 			continue
 		}
 		flushBatch()
 		t0 := time.Now()
-		for {
-			var err error
+		err := retryShed(func() (err error) {
 			switch req.Op {
 			case workload.OpGet:
 				_, _, err = cli.Get(req.Key)
@@ -569,15 +488,10 @@ func clusterWorker(c int, cli *cluster.Client,
 				// cluster mode degrades them to a get on the routed shard.
 				_, _, err = cli.Get(req.Key)
 			}
-			if errors.Is(err, netserver.ErrBacklogged) {
-				backlogged.Add(1)
-				time.Sleep(backloggedRetryDelay)
-				continue
-			}
-			if err != nil {
-				log.Fatalf("client %d: %v", c, err)
-			}
-			break
+			return err
+		})
+		if err != nil {
+			log.Fatalf("client %d: %v", c, err)
 		}
 		hist.Record(c, uint64(time.Since(t0)))
 	}
@@ -595,17 +509,6 @@ func appendBench(path string, rec benchfmt.Record) {
 	fmt.Printf("bench record appended to %s\n", path)
 }
 
-// scenarioRun carries the dynamic-scenario parameters from flag parsing.
-type scenarioRun struct {
-	name      string
-	scale     float64
-	addr      string
-	window    time.Duration
-	load      bool
-	opTimeout time.Duration
-	benchJSON string
-}
-
 // scenarioClient adapts a synchronous network connection to the scenario
 // runner's Client interface, with the usual shed-request retry.
 type scenarioClient struct {
@@ -614,8 +517,7 @@ type scenarioClient struct {
 }
 
 func (sc *scenarioClient) Do(req workload.Request) error {
-	for {
-		var err error
+	return retryShed(func() (err error) {
 		switch req.Op {
 		case workload.OpGet:
 			_, _, err = sc.cli.Get(req.Key)
@@ -629,13 +531,8 @@ func (sc *scenarioClient) Do(req workload.Request) error {
 		case workload.OpScan:
 			_, err = sc.cli.Scan(req.Key, req.ScanCount)
 		}
-		if errors.Is(err, netserver.ErrBacklogged) {
-			backlogged.Add(1)
-			time.Sleep(backloggedRetryDelay)
-			continue
-		}
 		return err
-	}
+	})
 }
 
 // runScenario drives one scripted dynamic workload from the scenario
@@ -644,8 +541,8 @@ func (sc *scenarioClient) Do(req workload.Request) error {
 // per measurement window into -bench-json. This is what produces a
 // BENCH_scenarios.json series for a real (possibly autotuned) server
 // rather than an in-process store.
-func runScenario(r scenarioRun) {
-	if r.name == "list" {
+func runScenario(o *options) {
+	if o.scenario == "list" {
 		fmt.Println("scenario matrix:")
 		for _, n := range scenario.Names() {
 			s, _ := scenario.Lookup(n)
@@ -653,44 +550,28 @@ func runScenario(r scenarioRun) {
 		}
 		return
 	}
-	sc, ok := scenario.Lookup(r.name)
+	sc, ok := scenario.Lookup(o.scenario)
 	if !ok {
-		log.Fatalf("unknown scenario %q; -scenario list shows the matrix", r.name)
+		log.Fatalf("unknown scenario %q; -scenario list shows the matrix", o.scenario)
 	}
-	if r.scale != 1 {
-		sc = scenario.Scaled(sc, r.scale)
+	if o.scenarioScale != 1 {
+		sc = scenario.Scaled(sc, o.scenarioScale)
 	}
-	cli, err := netserver.DialTimeout(r.addr, 0, r.opTimeout)
+	cli, err := netserver.DialTimeout(o.addr, 0, o.opTimeout)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer cli.Close()
 
-	if r.load {
-		val := make([]byte, sc.MaxValueSize())
-		start := time.Now()
-		for k := uint64(0); k < sc.Keys; k++ {
-			for {
-				err := cli.Put(k, val)
-				if errors.Is(err, netserver.ErrBacklogged) {
-					backlogged.Add(1)
-					time.Sleep(backloggedRetryDelay)
-					continue
-				}
-				if err != nil {
-					log.Fatal(err)
-				}
-				break
-			}
-		}
-		fmt.Printf("loaded %d keys in %v\n", sc.Keys, time.Since(start).Round(time.Millisecond))
+	if o.load {
+		loadKeys(cli, sc.Keys, make([]byte, sc.MaxValueSize()))
 	}
 
 	runner := &scenario.Runner{
 		Scenario: sc,
 		Client:   &scenarioClient{cli: cli, buf: make([]byte, sc.MaxValueSize())},
 		Bench:    "scenario-net",
-		Window:   r.window,
+		Window:   o.scenarioWindow,
 		Seed:     1,
 		OnPhase: func(i int, ph scenario.Phase) {
 			fmt.Printf("phase %d/%d: %s (%v)\n", i+1, len(sc.Phases), ph.Name, ph.Duration)
@@ -699,9 +580,9 @@ func runScenario(r scenarioRun) {
 	// A second connection samples the server at each window close, so
 	// every record also carries the adaptation observables: GC activity,
 	// reconfigurations (tuner probes and applies land here), hot-set
-	// size, and the live thread split. Best effort — a server too old
-	// for stats2 just yields records without extras.
-	if statsCli, err := netserver.DialTimeout(r.addr, 0, r.opTimeout); err == nil {
+	// size, and the live thread split. Best effort — if the connection
+	// fails, the records just carry no extras.
+	if statsCli, err := netserver.DialTimeout(o.addr, 0, o.opTimeout); err == nil {
 		defer statsCli.Close()
 		var lastGC, lastReconf float64
 		lastT := time.Now()
@@ -726,9 +607,9 @@ func runScenario(r scenarioRun) {
 			return ex
 		}
 	}
-	if r.benchJSON != "" {
+	if o.benchJSON != "" {
 		runner.Emit = func(rec benchfmt.Record) {
-			if err := benchfmt.Append(r.benchJSON, rec); err != nil {
+			if err := benchfmt.Append(o.benchJSON, rec); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -764,32 +645,9 @@ func runScenario(r scenarioRun) {
 	if n := backlogged.Load(); n > 0 {
 		fmt.Printf("backpressure: server shed %d requests (retried)\n", n)
 	}
-	if r.benchJSON != "" {
-		fmt.Printf("%d window records appended to %s\n", len(recs), r.benchJSON)
+	if o.benchJSON != "" {
+		fmt.Printf("%d window records appended to %s\n", len(recs), o.benchJSON)
 	}
-}
-
-// sparseRun carries the sparse-activity parameters from flag parsing:
-// hold -conns open connections, drive only an -active-fraction subset at
-// any instant, and rotate which connections are active. This is the
-// million-connection front-end workload shape — most clients idle, a few
-// bursting — that separates the transports: per-connection goroutines and
-// buffers charge for every open socket, the epoll transport only for the
-// active ones.
-type sparseRun struct {
-	addr      string
-	conns     int
-	fraction  float64
-	inflight  int
-	mixName   string
-	mix       workload.Mix
-	sizeDist  workload.SizeDist
-	keys      uint64
-	theta     float64
-	valueSize int
-	ops       int
-	opTimeout time.Duration
-	benchJSON string
 }
 
 // sparseBurstOps is how many pipelined requests one activation issues
@@ -818,19 +676,20 @@ func requireNOFILE(need int) {
 // issuing one short pipelined burst per claim. Instantaneous concurrency
 // equals the pool size, so the server sees fraction×conns active and the
 // rest idle at every moment, with the active set continuously rotating.
-func runSparse(r sparseRun) {
-	if r.fraction <= 0 || r.fraction > 1 {
-		log.Fatalf("-active-fraction must be in (0, 1], got %g", r.fraction)
+// This is the million-connection front-end workload shape — most clients
+// idle, a few bursting — that separates the transports: per-connection
+// goroutines and buffers charge for every open socket, the epoll transport
+// only for the active ones.
+func runSparse(o *options) {
+	if o.activeFraction <= 0 || o.activeFraction > 1 {
+		log.Fatalf("-active-fraction must be in (0, 1], got %g", o.activeFraction)
 	}
-	requireNOFILE(r.conns + 64)
-	win := r.inflight
-	if win < 8 {
-		win = 8
-	}
+	requireNOFILE(o.conns + 64)
+	win := max(o.inflight, 8)
 
-	pcs := make([]*netserver.PipelineClient, r.conns)
+	pcs := make([]*netserver.PipelineClient, o.conns)
 	dialStart := time.Now()
-	dialers := min(64, r.conns)
+	dialers := min(64, o.conns)
 	var dialErr atomic.Value
 	var nextDial atomic.Int64
 	var dwg sync.WaitGroup
@@ -840,10 +699,10 @@ func runSparse(r sparseRun) {
 			defer dwg.Done()
 			for dialErr.Load() == nil {
 				i := int(nextDial.Add(1)) - 1
-				if i >= r.conns {
+				if i >= o.conns {
 					return
 				}
-				pc, err := netserver.DialPipeline(r.addr, win)
+				pc, err := netserver.DialPipeline(o.addr, win)
 				if err != nil {
 					dialErr.Store(err)
 					return
@@ -855,9 +714,9 @@ func runSparse(r sparseRun) {
 	dwg.Wait()
 	if err, _ := dialErr.Load().(error); err != nil {
 		log.Fatalf("dialing %d connections: %v (server -max-conns or its RLIMIT_NOFILE too low?)",
-			r.conns, err)
+			o.conns, err)
 	}
-	fmt.Printf("%d connections open in %v\n", r.conns, time.Since(dialStart).Round(time.Millisecond))
+	fmt.Printf("%d connections open in %v\n", o.conns, time.Since(dialStart).Round(time.Millisecond))
 	defer func() {
 		for _, pc := range pcs {
 			pc.Close()
@@ -867,25 +726,20 @@ func runSparse(r sparseRun) {
 	// Let the accept storm drain and idle buffers strip before measuring.
 	time.Sleep(500 * time.Millisecond)
 
-	active := int(float64(r.conns)*r.fraction + 0.5)
-	active = max(min(active, r.conns), 1)
+	active := int(float64(o.conns)*o.activeFraction + 0.5)
+	active = max(min(active, o.conns), 1)
 
 	hist := obs.NewHistogram(active)
-	locks := make([]sync.Mutex, r.conns)
+	locks := make([]sync.Mutex, o.conns)
 	var remaining, cursor atomic.Int64
-	remaining.Store(int64(r.ops))
+	remaining.Store(int64(o.ops))
 	var wg sync.WaitGroup
 	start := time.Now()
 	for w := 0; w < active; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			gen := workload.NewGenerator(workload.Config{
-				Keys: r.keys, Theta: r.theta, Mix: r.mix,
-				ValueSize: r.sizeDist, Seed: uint64(w + 1),
-			})
-			buf := make([]byte, r.valueSize)
-			window := make([]sparseInflight, 0, win)
+			d := newDriver(w, newGen(nil, o.wl, w), hist, win, o.valueSize, o.ttl, o.opTimeout)
 			for {
 				burst := sparseBurstOps
 				if n := remaining.Add(-sparseBurstOps); n < 0 {
@@ -896,27 +750,24 @@ func runSparse(r sparseRun) {
 				}
 				// Round-robin claim; the mutex only matters when the cursor
 				// laps a still-busy connection (active ≈ conns).
-				i := int(cursor.Add(1)-1) % r.conns
+				i := int(cursor.Add(1)-1) % o.conns
 				locks[i].Lock()
-				window = sparseDrive(w, pcs[i], gen, buf, window, burst, hist)
+				d.drive(pcs[i], burst)
 				locks[i].Unlock()
 			}
 		}(w)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	after := serverGCSnapshot(r.addr, r.opTimeout)
+	after := serverGCSnapshot(o.addr, o.opTimeout)
 
 	snap := hist.Snapshot()
-	pct := func(p float64) time.Duration { return time.Duration(snap.Quantile(p)) }
 	opsPerSec := float64(snap.Count) / elapsed.Seconds()
 	fmt.Printf("sparse: %d conns, %d active at a time (fraction %g), burst %d, window %d\n",
-		r.conns, active, r.fraction, sparseBurstOps, win)
+		o.conns, active, o.activeFraction, sparseBurstOps, win)
 	fmt.Printf("%d ops in %v\n", snap.Count, elapsed.Round(time.Millisecond))
 	fmt.Printf("throughput: %.0f ops/s\n", opsPerSec)
-	fmt.Printf("latency: P50 %v  P95 %v  P99 %v  max %v\n",
-		pct(0.50).Round(time.Microsecond), pct(0.95).Round(time.Microsecond),
-		pct(0.99).Round(time.Microsecond), time.Duration(snap.Max).Round(time.Microsecond))
+	printLatency(snap)
 	if n := backlogged.Load(); n > 0 {
 		fmt.Printf("backpressure: server shed %d requests\n", n)
 	}
@@ -932,14 +783,14 @@ func runSparse(r sparseRun) {
 			sv("mutps_net_leased_buffer_bytes")/1024,
 			sv("mutps_go_heap_live_bytes")/(1<<20), sv("mutps_proc_rss_bytes")/(1<<20))
 	}
-	if r.benchJSON != "" {
+	if o.benchJSON != "" {
 		rec := benchfmt.New("sparse-net")
 		rec.Config = map[string]any{
-			"conns":           r.conns,
-			"active_fraction": r.fraction,
+			"conns":           o.conns,
+			"active_fraction": o.activeFraction,
 			"active_conns":    active,
 			"inflight":        win,
-			"mix":             r.mixName,
+			"mix":             o.mixName,
 		}
 		rec.Ops = snap.Count
 		rec.OpsPerSec = opsPerSec
@@ -954,121 +805,110 @@ func runSparse(r sparseRun) {
 			"server_heap_live":    sv("mutps_go_heap_live_bytes"),
 			"server_rss_bytes":    sv("mutps_proc_rss_bytes"),
 		}
-		appendBench(r.benchJSON, rec)
+		appendBench(o.benchJSON, rec)
 	}
 }
 
-// sparseInflight pairs a pipelined future with its send time.
-type sparseInflight struct {
+// driver is the one send/drain loop of the load generator: a worker's
+// request source, latency shard and in-flight window, reusable across the
+// connections the worker drives. Futures are recycled with Release after
+// each response, so the client side allocates nothing per request in
+// steady state. Latency is send-to-response (it includes queueing in the
+// window, as for any pipelined client).
+type driver struct {
+	id        int // histogram shard, and the worker named in a fatal error
+	gen       interface{ Next() workload.Request }
+	hist      *obs.Histogram
+	opTimeout time.Duration
+	putOp     byte   // OpPut, or OpPutTTL when puts carry a TTL
+	ttlHdr    int    // bytes of TTL leading a put payload: 8 with OpPutTTL, else 0
+	buf       []byte // put payload at the configured value size, TTL header included
+	window    []sent // oldest first; cap is the in-flight limit
+
+	// The newest request, kept for the resend of a shed one.
+	lastOp      byte
+	lastKey     uint64
+	lastPayload []byte
+}
+
+// sent pairs a pipelined future with its send time.
+type sent struct {
 	fut *netserver.Future
 	t0  time.Time
 }
 
-// sparseDrive issues one activation burst on pc: n ops pipelined through
-// the (reused) window slice, every response drained before returning so
-// the connection goes back to fully idle. Returns the window slice for
-// reuse by the next burst.
-func sparseDrive(shard int, pc *netserver.PipelineClient,
-	gen interface{ Next() workload.Request }, buf []byte,
-	window []sparseInflight, n int, hist *obs.Histogram) []sparseInflight {
-	drainOldest := func() {
-		f := window[0]
-		switch _, _, err := f.fut.Wait(); {
-		case err == nil:
-			hist.Record(shard, uint64(time.Since(f.t0)))
-		case errors.Is(err, netserver.ErrBacklogged):
-			backlogged.Add(1)
-		default:
-			log.Fatalf("sparse worker %d: %v", shard, err)
-		}
-		f.fut.Release()
-		window = append(window[:0], window[1:]...)
+func newDriver(id int, gen interface{ Next() workload.Request }, hist *obs.Histogram,
+	inflight, valueSize int, ttl, opTimeout time.Duration) *driver {
+	d := &driver{id: id, gen: gen, hist: hist, opTimeout: opTimeout,
+		putOp: netserver.OpPut, window: make([]sent, 0, inflight)}
+	if ttl > 0 {
+		d.putOp = netserver.OpPutTTL
+		d.buf = binary.LittleEndian.AppendUint64(d.buf, uint64(ttl))
 	}
-	var scanPl [4]byte
-	for i := 0; i < n; i++ {
-		req := gen.Next()
-		var op byte
-		var payload []byte
-		switch req.Op {
-		case workload.OpGet:
-			op = netserver.OpGet
-		case workload.OpPut:
-			op = netserver.OpPut
-			payload = buf
-			if req.ValueSize > 0 && req.ValueSize != len(buf) {
-				payload = make([]byte, req.ValueSize)
-			}
-		case workload.OpDelete:
-			op = netserver.OpDelete
-		case workload.OpScan:
-			op = netserver.OpScan
-			binary.LittleEndian.PutUint32(scanPl[:], uint32(req.ScanCount))
-			payload = scanPl[:]
-		}
-		if len(window) == cap(window) {
-			pc.Flush()
-			drainOldest()
-		}
-		f, err := pc.Send(op, req.Key, payload)
-		if err != nil {
-			log.Fatalf("sparse worker %d: %v", shard, err)
-		}
-		window = append(window, sparseInflight{fut: f, t0: time.Now()})
-	}
-	pc.Flush()
-	for len(window) > 0 {
-		drainOldest()
-	}
-	return window[:0]
+	d.ttlHdr = len(d.buf)
+	d.buf = append(d.buf, make([]byte, valueSize)...)
+	return d
 }
 
-// runPipelined drives one connection with depth requests in flight using
-// the pooled-future pipelined client: futures are recycled with Release
-// after each response, so the client side allocates nothing per request in
-// steady state. Latency is send-to-response (it includes queueing in the
-// pipeline window, as for any pipelined client) and lands in the shared
-// histogram under this client's shard.
-func runPipelined(c int, addr string, depth, valueSize, ops int,
-	gen interface{ Next() workload.Request }, hist *obs.Histogram) {
-	pc, err := netserver.DialPipeline(addr, depth)
+// send issues one request on pc and appends it to the window. With an op
+// timeout, each send pushes the connection's deadline out, so the deadline
+// expires only when nothing has come back for that long after the last one.
+func (d *driver) send(pc *netserver.PipelineClient, op byte, key uint64, payload []byte, t0 time.Time) {
+	if d.opTimeout > 0 {
+		// An error here means the connection is already closed; Send reports it.
+		_ = pc.SetDeadline(time.Now().Add(d.opTimeout))
+	}
+	f, err := pc.Send(op, key, payload)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("client %d: %v", d.id, err)
 	}
-	defer pc.Close()
-	buf := make([]byte, valueSize)
-	var scanPl [4]byte
-	type inflight struct {
-		fut *netserver.Future
-		t0  time.Time
-	}
-	window := make([]inflight, 0, depth)
-	drainOldest := func() {
-		f := window[0]
-		switch _, _, err := f.fut.Wait(); {
-		case err == nil:
-			hist.Record(c, uint64(time.Since(f.t0)))
-		case errors.Is(err, netserver.ErrBacklogged):
-			// The stream stays in sync on a shed request; resending here
-			// would reorder the FIFO window, so count it and move on.
-			backlogged.Add(1)
-		default:
-			log.Fatalf("client %d: %v", c, err)
+	d.lastOp, d.lastKey, d.lastPayload = op, key, payload
+	d.window = append(d.window, sent{fut: f, t0: t0})
+}
+
+// drainOldest retires the head of the window. A shed request leaves the
+// stream in sync; with a window of one it is the newest request too and is
+// resent after a backoff (its latency keeps running from the first
+// attempt), with more the resend would reorder the FIFO window, so it is
+// counted and skipped.
+func (d *driver) drainOldest(pc *netserver.PipelineClient) {
+	s := d.window[0]
+	_, _, err := s.fut.Wait()
+	s.fut.Release()
+	d.window = append(d.window[:0], d.window[1:]...)
+	switch {
+	case err == nil:
+		d.hist.Record(d.id, uint64(time.Since(s.t0)))
+	case errors.Is(err, netserver.ErrBacklogged):
+		backlogged.Add(1)
+		if cap(d.window) == 1 {
+			time.Sleep(backloggedRetryDelay)
+			d.send(pc, d.lastOp, d.lastKey, d.lastPayload, s.t0)
+			// A failed flush ends the connection; the resent future reports it.
+			_ = pc.Flush()
+			d.drainOldest(pc)
 		}
-		f.fut.Release()
-		window = append(window[:0], window[1:]...)
+	default:
+		log.Fatalf("client %d: %v", d.id, err)
 	}
-	for i := 0; i < ops; i++ {
-		req := gen.Next()
+}
+
+// drive issues n requests on pc through the window and drains every
+// response before returning, so the connection goes back to fully idle.
+func (d *driver) drive(pc *netserver.PipelineClient, n int) {
+	var scanPl [4]byte
+	for i := 0; i < n; i++ {
+		req := d.gen.Next()
 		var op byte
 		var payload []byte
 		switch req.Op {
 		case workload.OpGet:
 			op = netserver.OpGet
 		case workload.OpPut:
-			op = netserver.OpPut
-			payload = buf
-			if req.ValueSize > 0 && req.ValueSize != len(buf) {
-				payload = make([]byte, req.ValueSize)
+			op, payload = d.putOp, d.buf
+			if req.ValueSize > 0 && d.ttlHdr+req.ValueSize != len(d.buf) {
+				payload = make([]byte, d.ttlHdr+req.ValueSize)
+				copy(payload, d.buf[:d.ttlHdr])
 			}
 		case workload.OpDelete:
 			op = netserver.OpDelete
@@ -1077,18 +917,15 @@ func runPipelined(c int, addr string, depth, valueSize, ops int,
 			binary.LittleEndian.PutUint32(scanPl[:], uint32(req.ScanCount))
 			payload = scanPl[:]
 		}
-		if len(window) == cap(window) {
-			pc.Flush()
-			drainOldest()
+		if len(d.window) == cap(d.window) {
+			// A failed flush ends the connection; the oldest future reports it.
+			_ = pc.Flush()
+			d.drainOldest(pc)
 		}
-		f, err := pc.Send(op, req.Key, payload)
-		if err != nil {
-			log.Fatalf("client %d: %v", c, err)
-		}
-		window = append(window, inflight{fut: f, t0: time.Now()})
+		d.send(pc, op, req.Key, payload, time.Now())
 	}
-	pc.Flush()
-	for len(window) > 0 {
-		drainOldest()
+	_ = pc.Flush() // as above
+	for len(d.window) > 0 {
+		d.drainOldest(pc)
 	}
 }

@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"strings"
-	"sync/atomic"
 
 	"mutps/internal/netserver"
 	"mutps/internal/obs"
@@ -49,17 +47,14 @@ type Client struct {
 	opsShard   []*obs.Counter
 	mgetFrames *obs.Counter
 	mgetKeys   *obs.Histogram
-	fallbacks  *obs.Counter
 	largePuts  *obs.Counter
 	probes     *obs.Counter
 }
 
-// shard is one member server: its pipelined connection plus the sticky
-// legacy flag set when the server rejects the mget op.
+// shard is one member server and its pipelined connection.
 type shard struct {
-	addr   string
-	pc     *netserver.PipelineClient
-	legacy atomic.Bool
+	addr string
+	pc   *netserver.PipelineClient
 }
 
 // Dial connects to every shard and builds the routing state.
@@ -104,8 +99,6 @@ func Dial(cfg Config) (*Client, error) {
 		"Batched mget frames sent across all shards.", 4)
 	c.mgetKeys = c.reg.Histogram("mutps_cluster_mget_keys_per_frame", "",
 		"Keys carried per mget frame (per-shard fan-out batching factor).", 4)
-	c.fallbacks = c.reg.Counter("mutps_cluster_mget_fallback_total", "",
-		"MGet frames degraded to per-key pipelined gets (legacy server or in-protocol rejection).", 4)
 	c.largePuts = c.reg.Counter("mutps_cluster_large_routed_total", "",
 		"Puts routed to the large-object shard set by the size-aware policy.", 4)
 	c.probes = c.reg.Counter("mutps_cluster_large_probe_total", "",
@@ -149,13 +142,8 @@ func (c *Client) do(si int, op byte, key uint64, payload []byte) (status byte, b
 	if !obs.Disabled {
 		c.opsShard[si].Inc(0)
 	}
-	if err := sh.pc.Flush(); err != nil {
-		// The future is completed by the client's close-on-write-failure
-		// protocol; wait it out so it is never abandoned mid-read.
-		f.Wait()
-		f.Release()
-		return 0, nil, err
-	}
+	// A failed flush ends the connection, which completes f with the cause.
+	_ = sh.pc.Flush()
 	st, b, err := f.Wait()
 	if len(b) > 0 && err == nil {
 		body = append([]byte(nil), b...)
@@ -224,14 +212,11 @@ func (c *Client) Delete(key uint64) (bool, error) {
 	return found, nil
 }
 
-// frame is one in-flight unit of an MGet fan-out: a batched mget wire
-// frame (idxs positions answered positionally) or a single per-key get on
-// a legacy shard.
+// frame is one in-flight mget wire frame of a fan-out; the response
+// answers the idxs positions in order.
 type frame struct {
-	sh     int
-	fut    *netserver.Future
-	idxs   []int
-	perKey bool
+	fut  *netserver.Future
+	idxs []int
 }
 
 // MGet fetches keys from across the cluster with one batched mget frame
@@ -239,8 +224,9 @@ type frame struct {
 // rides the shard's pipelined window as whole frames, and every window
 // fills concurrently — the cross-host fan-out that aggregate throughput
 // comes from. Results are positional: vals[i]/found[i] answer keys[i],
-// with vals caller-owned. Shards that reject the mget op degrade to
-// per-key pipelined gets transparently and are remembered as legacy.
+// with vals caller-owned. A frame a shard rejects in-protocol (backlogged,
+// shutting down) fails the call with that error; gets have no side
+// effects, so the caller retries the whole MGet.
 func (c *Client) MGet(keys []uint64) (vals [][]byte, found []bool, err error) {
 	vals = make([][]byte, len(keys))
 	found = make([]bool, len(keys))
@@ -289,34 +275,20 @@ func (c *Client) MGet(keys []uint64) (vals [][]byte, found []bool, err error) {
 	return vals, found, nil
 }
 
-// fanout sends one round of grouped gets — mget frames on current shards,
-// per-key gets on legacy ones — flushes every touched window once, then
-// retires the frames in issue order and scatters results into vals/found.
+// fanout sends one round of grouped gets as mget frames, flushes every
+// touched window once, then retires the frames in issue order and scatters
+// results into vals/found. A send failure stops the issuing but not the
+// rest: whatever was sent is still flushed, waited and released — a frame
+// left in a write buffer would park its waiter forever — and the first
+// error, from sending or from any frame, is returned.
 func (c *Client) fanout(keys []uint64, groups [][]int, vals [][]byte, found []bool) error {
 	var frames []frame
 	var keybuf []uint64
 	var payload []byte
-	touched := make([]bool, len(c.shards))
+	var firstErr error
+issue:
 	for si, idxs := range groups {
-		if len(idxs) == 0 {
-			continue
-		}
-		touched[si] = true
 		sh := c.shards[si]
-		if sh.legacy.Load() {
-			for j := range idxs {
-				f, err := sh.pc.Send(netserver.OpGet, keys[idxs[j]], nil)
-				if err != nil {
-					c.drainFrames(frames)
-					return err
-				}
-				if !obs.Disabled {
-					c.opsShard[si].Inc(0)
-				}
-				frames = append(frames, frame{sh: si, fut: f, idxs: idxs[j : j+1], perKey: true})
-			}
-			continue
-		}
 		for start := 0; start < len(idxs); start += c.batch {
 			end := start + c.batch
 			if end > len(idxs) {
@@ -330,56 +302,31 @@ func (c *Client) fanout(keys []uint64, groups [][]int, vals [][]byte, found []bo
 			payload = netserver.AppendMGetRequest(payload[:0], keybuf)
 			f, err := sh.pc.Send(netserver.OpMGet, 0, payload)
 			if err != nil {
-				c.drainFrames(frames)
-				return err
+				firstErr = err
+				break issue
 			}
 			if !obs.Disabled {
 				c.opsShard[si].Inc(0)
 				c.mgetFrames.Inc(0)
 				c.mgetKeys.Record(0, uint64(len(sub)))
 			}
-			frames = append(frames, frame{sh: si, fut: f, idxs: sub})
+			frames = append(frames, frame{fut: f, idxs: sub})
 		}
 	}
-	for si, t := range touched {
-		if t {
-			c.shards[si].pc.Flush()
+	for si, idxs := range groups {
+		if len(idxs) > 0 {
+			// A failed flush ends that shard's connection, which completes
+			// its futures with the cause; the retire loop reports it.
+			_ = c.shards[si].pc.Flush()
 		}
 	}
-	var firstErr error
-	for fi := range frames {
-		fr := &frames[fi]
-		st, body, err := fr.fut.Wait()
-		switch {
-		case err == nil:
-			if fr.perKey {
-				i := fr.idxs[0]
-				if st == netserver.StatusFound {
-					vals[i] = append([]byte(nil), body...)
-					found[i] = true
-				}
-			} else if derr := scatterMGet(body, fr.idxs, vals, found); derr != nil && firstErr == nil {
-				firstErr = derr
-			}
-		case st == netserver.StatusError && !fr.perKey:
-			// In-protocol rejection of an mget frame: an old server. Mark it
-			// legacy on the canonical "unknown op" reply so later rounds skip
-			// the wasted frame, and re-fetch this frame's keys per key either
-			// way — if the error was something else (say, shutdown), the
-			// retries surface it.
-			if strings.Contains(err.Error(), "unknown op") {
-				c.shards[fr.sh].legacy.Store(true)
-			}
-			if !obs.Disabled {
-				c.fallbacks.Inc(0)
-			}
-			if derr := c.perKeyRetry(keys, fr, vals, found); derr != nil && firstErr == nil {
-				firstErr = derr
-			}
-		default:
-			if firstErr == nil {
-				firstErr = err
-			}
+	for _, fr := range frames {
+		_, body, err := fr.fut.Wait()
+		if err == nil {
+			err = scatterMGet(body, fr.idxs, vals, found)
+		}
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
 		fr.fut.Release()
 	}
@@ -403,49 +350,4 @@ func scatterMGet(body []byte, idxs []int, vals [][]byte, found []bool) error {
 		}
 	}
 	return nil
-}
-
-// perKeyRetry re-fetches one frame's keys as individual pipelined gets on
-// the same shard (the mget degradation path for legacy servers).
-func (c *Client) perKeyRetry(keys []uint64, fr *frame, vals [][]byte, found []bool) error {
-	sh := c.shards[fr.sh]
-	futs := make([]*netserver.Future, 0, len(fr.idxs))
-	for _, i := range fr.idxs {
-		f, err := sh.pc.Send(netserver.OpGet, keys[i], nil)
-		if err != nil {
-			for _, pf := range futs {
-				pf.Wait()
-				pf.Release()
-			}
-			return err
-		}
-		if !obs.Disabled {
-			c.opsShard[fr.sh].Inc(0)
-		}
-		futs = append(futs, f)
-	}
-	sh.pc.Flush()
-	var firstErr error
-	for j, f := range futs {
-		st, body, err := f.Wait()
-		i := fr.idxs[j]
-		switch {
-		case err == nil && st == netserver.StatusFound:
-			vals[i] = append([]byte(nil), body...)
-			found[i] = true
-		case err != nil && firstErr == nil:
-			firstErr = err
-		}
-		f.Release()
-	}
-	return firstErr
-}
-
-// drainFrames waits out and releases already-sent futures after a send
-// failure mid-fan-out, so no pooled future is abandoned.
-func (c *Client) drainFrames(frames []frame) {
-	for i := range frames {
-		frames[i].fut.Wait()
-		frames[i].fut.Release()
-	}
 }

@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"mutps/internal/netserver"
 	"mutps/internal/obs"
@@ -160,157 +162,162 @@ func TestClusterMGetConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// legacyServer is a minimal pre-mget protocol server: get/put out of a
-// map, any other op rejected with the canonical "unknown op" status-error
-// — exactly what an old mutps-server replies. It lets the fallback test
-// run against a true legacy peer without resurrecting old code.
-type legacyServer struct {
-	ln net.Listener
-	mu sync.Mutex
-	m  map[uint64][]byte
-	wg sync.WaitGroup
-}
-
-func startLegacyServer(t *testing.T) *legacyServer {
+// stubShard is a protocol peer for fault injection: it serves every
+// accepted connection by answering each request frame with what reply
+// returns. A nil reply hangs up on accept instead.
+func stubShard(t *testing.T, reply func(op byte, payload []byte) (status byte, body []byte)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &legacyServer{ln: ln, m: map[uint64][]byte{}}
-	s.wg.Add(1)
-	go s.accept()
+	var wg sync.WaitGroup
+	serve := func(conn net.Conn) {
+		defer wg.Done()
+		defer conn.Close()
+		if reply == nil {
+			return
+		}
+		r := bufio.NewReader(conn)
+		var hdr [13]byte
+		for {
+			if _, err := io.ReadFull(r, hdr[:]); err != nil {
+				return
+			}
+			payload := make([]byte, binary.LittleEndian.Uint32(hdr[9:13]))
+			if _, err := io.ReadFull(r, payload); err != nil {
+				return
+			}
+			status, body := reply(hdr[0], payload)
+			resp := binary.LittleEndian.AppendUint32([]byte{status}, uint32(len(body)))
+			if _, err := conn.Write(append(resp, body...)); err != nil {
+				return
+			}
+		}
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go serve(conn)
+		}
+	}()
 	t.Cleanup(func() {
 		ln.Close()
-		s.wg.Wait()
+		wg.Wait()
 	})
-	return s
+	return ln.Addr().String()
 }
 
-func (s *legacyServer) accept() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
+// keysOn returns n keys that route to shard si.
+func keysOn(c *Client, si, n int) []uint64 {
+	var keys []uint64
+	for k := uint64(0); len(keys) < n; k++ {
+		if c.ShardOf(k) == si {
+			keys = append(keys, k)
 		}
-		s.wg.Add(1)
-		go s.serve(conn)
 	}
+	return keys
 }
 
-func (s *legacyServer) serve(conn net.Conn) {
-	defer s.wg.Done()
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	var hdr [13]byte
-	reply := func(status byte, payload []byte) bool {
-		var rh [5]byte
-		rh[0] = status
-		binary.LittleEndian.PutUint32(rh[1:5], uint32(len(payload)))
-		if _, err := w.Write(rh[:]); err != nil {
-			return false
-		}
-		if _, err := w.Write(payload); err != nil {
-			return false
-		}
-		return w.Flush() == nil
-	}
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return
-		}
-		op := hdr[0]
-		key := binary.LittleEndian.Uint64(hdr[1:9])
-		plen := binary.LittleEndian.Uint32(hdr[9:13])
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return
-		}
-		switch op {
-		case netserver.OpGet:
-			s.mu.Lock()
-			v, ok := s.m[key]
-			s.mu.Unlock()
-			if ok {
-				if !reply(netserver.StatusFound, v) {
-					return
-				}
-			} else if !reply(netserver.StatusNotFound, nil) {
-				return
-			}
-		case netserver.OpPut:
-			s.mu.Lock()
-			s.m[key] = bytes.Clone(payload)
-			s.mu.Unlock()
-			if !reply(netserver.StatusFound, nil) {
-				return
-			}
-		default:
-			if !reply(netserver.StatusError, []byte(fmt.Sprintf("unknown op %d", op))) {
-				return
-			}
-		}
-	}
-}
-
-// TestClusterLegacyFallback mixes a current shard with a legacy shard that
-// rejects the mget op: the client must degrade that shard's frames to
-// per-key pipelined gets, remember the downgrade, and keep every result
-// positionally correct — the stats2 versioning pattern applied to mget.
-func TestClusterLegacyFallback(t *testing.T) {
+// TestClusterMGetRejectedFrame pins what replaced the per-key degradation:
+// a shard that rejects an mget frame in-protocol fails the MGet with the
+// shard's error, and the fan-out still retires every frame it sent — the
+// healthy shard's and the rejecting shard's connections both stay in sync
+// for the calls that follow.
+func TestClusterMGetRejectedFrame(t *testing.T) {
 	l, err := LaunchLocal(1, LocalOptions{Workers: 3, CRWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	legacy := startLegacyServer(t)
-	addrs := append(l.Addrs(), legacy.ln.Addr().String())
-	c, err := Dial(Config{Addrs: addrs, MGetBatch: 8})
+	rejecting := stubShard(t, func(op byte, _ []byte) (byte, []byte) {
+		if op == netserver.OpMGet {
+			return netserver.StatusError, []byte("mget refused")
+		}
+		return netserver.StatusNotFound, nil
+	})
+	c, err := Dial(Config{Addrs: append(l.Addrs(), rejecting), MGetBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	for k := uint64(0); k < 100; k++ {
-		if err := c.Put(k, []byte(fmt.Sprintf("f%d", k))); err != nil {
+	healthy := keysOn(c, 0, 12)
+	for _, k := range healthy {
+		if err := c.Put(k, []byte(fmt.Sprintf("h%d", k))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	legacyShard := -1
-	for k := uint64(0); k < 100; k++ {
-		if c.cfg.Addrs[c.ShardOf(k)] == legacy.ln.Addr().String() {
-			legacyShard = c.ShardOf(k)
-			break
-		}
-	}
-	if legacyShard == -1 {
-		t.Skip("no key routed to the legacy shard (ring imbalance at this size)")
-	}
-	keys := make([]uint64, 100)
-	for i := range keys {
-		keys[i] = uint64(i)
-	}
-	for round := 0; round < 2; round++ {
-		vals, found, err := c.MGet(keys)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		for i, k := range keys {
-			if !found[i] || string(vals[i]) != fmt.Sprintf("f%d", k) {
-				t.Fatalf("round %d key %d: found=%v val=%q", round, k, found[i], vals[i])
-			}
-		}
-	}
-	if !c.shards[legacyShard].legacy.Load() {
-		t.Error("legacy shard not remembered as legacy after rejected mget")
+	mixed := append(append([]uint64(nil), healthy...), keysOn(c, 1, 12)...)
+	if _, _, err := c.MGet(mixed); err == nil || !strings.Contains(err.Error(), "mget refused") {
+		t.Fatalf("MGet across a rejecting shard: err = %v, want the shard's rejection", err)
 	}
 	if !obs.Disabled {
-		m := c.Metrics().SnapshotMap()
-		if m["mutps_cluster_mget_fallback_total"] == 0 {
-			t.Error("fallback counter did not move")
+		if frames := c.Metrics().SnapshotMap()["mutps_cluster_mget_frames_total"]; frames != 6 {
+			t.Errorf("%v mget frames for 24 keys at batch 4, want 6: the rejection must not add per-key retries", frames)
 		}
+	}
+	// Nothing was left half-read on either connection.
+	vals, found, err := c.MGet(healthy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range healthy {
+		if !found[i] || string(vals[i]) != fmt.Sprintf("h%d", k) {
+			t.Fatalf("healthy shard after the rejection: key %d found=%v val=%q", k, found[i], vals[i])
+		}
+	}
+	if _, ok, err := c.Get(keysOn(c, 1, 1)[0]); err != nil || ok {
+		t.Fatalf("rejecting shard after the rejection: found=%v err=%v, want its plain not-found", ok, err)
+	}
+}
+
+// TestClusterMGetSendFailureDrains kills one shard's connection and fans
+// out across it: the Send that fails must not strand the frames already
+// issued to the other shard. That shard answers slowly, so its later
+// frames are still sitting in the client's write buffer when the failure
+// hits — waiting on them without flushing first would never return.
+func TestClusterMGetSendFailureDrains(t *testing.T) {
+	slow := stubShard(t, func(op byte, payload []byte) (byte, []byte) {
+		time.Sleep(20 * time.Millisecond)
+		n := binary.LittleEndian.Uint32(payload)
+		return netserver.StatusFound, append(payload[:4:4], make([]byte, 5*n)...) // n × not-found
+	})
+	dead := stubShard(t, nil)
+	c, err := Dial(Config{Addrs: []string{slow, dead}, MGetBatch: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// The hang-up is noticed by the shard connection's read loop; once a
+	// call on it has failed, every later Send fails fast.
+	if _, _, err := c.Get(keysOn(c, 1, 1)[0]); err == nil {
+		t.Fatal("get on a shard that hung up succeeded")
+	}
+
+	keys := append(keysOn(c, 0, 12), keysOn(c, 1, 2)...)
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := c.MGet(keys)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("MGet across a dead shard returned no error")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("MGet hung: frames issued before the failed Send were never flushed")
+	}
+	// The slow shard's connection took no damage.
+	if _, found, err := c.MGet(keysOn(c, 0, 4)); err != nil || found[0] {
+		t.Fatalf("slow shard after the failure: found=%v err=%v", found, err)
 	}
 }
 

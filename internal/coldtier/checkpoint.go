@@ -199,11 +199,11 @@ func (l *Log) recoverFromCheckpoint(c *checkpoint, now uint64) bool {
 			// the suffix and the replay below re-adds the key.
 			continue
 		}
-		if e.loc.Off < seg.base() || e.loc.Off+seg.recHdr()+int64(e.loc.Len) > seg.size.Load() {
+		if e.loc.Off < segHeaderLen || e.loc.Off+recHeaderLen+int64(e.loc.Len) > seg.size.Load() {
 			continue // dangling entry: the record's bytes did not survive
 		}
 		if e.exp != 0 && now >= e.exp {
-			seg.dead.Add(seg.recHdr() + int64(e.loc.Len))
+			seg.dead.Add(recHeaderLen + int64(e.loc.Len))
 			continue
 		}
 		st := &l.stripes[e.key%idxStripes]
@@ -224,7 +224,7 @@ func (l *Log) recoverFromCheckpoint(c *checkpoint, now uint64) bool {
 		if seg.id < c.frontierSeg {
 			continue
 		}
-		from := seg.base()
+		from := segHeaderLen
 		if seg.id == c.frontierSeg {
 			from = c.frontierOff
 		}

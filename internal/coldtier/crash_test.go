@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -23,22 +22,21 @@ type recState struct {
 func parseRecords(t *testing.T, img []byte) []recState {
 	t.Helper()
 	if len(img) < int(segHeaderLen) || [8]byte(img[:8]) != segMagic {
-		t.Fatal("oracle: not a v2 segment")
+		t.Fatal("oracle: segment does not start with the magic")
 	}
 	state := map[uint64][]byte{}
 	var out []recState
 	off := segHeaderLen
-	for off+recHeaderV2 <= int64(len(img)) {
-		h := img[off : off+recHeaderV2]
+	for off+recHeaderLen <= int64(len(img)) {
+		h := img[off : off+recHeaderLen]
 		kind := h[0]
 		key := binary.LittleEndian.Uint64(h[1:9])
 		vlen := int64(binary.LittleEndian.Uint32(h[17:21]))
-		if (kind != recValue && kind != recTombstone) || off+recHeaderV2+vlen > int64(len(img)) {
+		if (kind != recValue && kind != recTombstone) || off+recHeaderLen+vlen > int64(len(img)) {
 			break
 		}
-		val := img[off+recHeaderV2 : off+recHeaderV2+vlen]
-		sum := crc32.Update(crc32.Checksum(h[:recHeaderV1], castagnoli), castagnoli, val)
-		if sum != binary.LittleEndian.Uint32(h[21:recHeaderV2]) {
+		val := img[off+recHeaderLen : off+recHeaderLen+vlen]
+		if recordSum(h, val) != binary.LittleEndian.Uint32(h[recSumOff:]) {
 			break
 		}
 		if kind == recTombstone {
@@ -46,7 +44,7 @@ func parseRecords(t *testing.T, img []byte) []recState {
 		} else {
 			state[key] = append([]byte(nil), val...)
 		}
-		off += recHeaderV2 + vlen
+		off += recHeaderLen + vlen
 		snap := make(map[uint64][]byte, len(state))
 		for k, v := range state {
 			snap[k] = v
@@ -182,7 +180,7 @@ func TestCorruptTailEveryByte(t *testing.T) {
 // log and after reopen.
 func TestWriteHookCrashMidAppend(t *testing.T) {
 	errBoom := errors.New("injected crash")
-	for _, torn := range []int{0, 1, recHeaderV1, recHeaderV2, recHeaderV2 + 5} {
+	for _, torn := range []int{0, 1, recSumOff, recHeaderLen, recHeaderLen + 5} {
 		dir := t.TempDir()
 		writes := 0
 		crashAfter := 5

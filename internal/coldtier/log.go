@@ -18,9 +18,8 @@
 // records the entries plus the segment frontier it covers, and reopen loads
 // the newest valid checkpoint and replays only the segment suffix past its
 // frontier, falling back to a full rescan when no checkpoint survives
-// validation. Current-format segments carry a per-record CRC32C so torn or
-// corrupted records are detected rather than replayed; the original
-// checksum-less format is still readable.
+// validation. Every record carries a CRC32C, so torn or corrupted records
+// are detected rather than replayed.
 //
 // Concurrency: appends serialize on one mutex (eviction and compaction are
 // background work, not the request fast path); reads are lock-free preads
@@ -54,16 +53,15 @@ const (
 	recTombstone byte = 1
 )
 
-// Record headers. v1 is kind(1) key(8) expiry(8) vlen(4); v2 appends a
-// CRC32C(4) over those 21 bytes and the value. The segment file's leading
-// magic selects the version; v1 files have no magic (their first byte is a
-// record kind, 0 or 1, which can never collide with the magic's 'M').
+// A record is kind(1) key(8) expiry(8) vlen(4) crc(4) value[vlen]; the
+// CRC32C covers the recSumOff bytes before it and the value.
 const (
-	recHeaderV1 = 1 + 8 + 8 + 4
-	recHeaderV2 = recHeaderV1 + 4
+	recSumOff    = 1 + 8 + 8 + 4
+	recHeaderLen = recSumOff + 4
 )
 
-// segMagic leads every current-format segment file.
+// segMagic leads every segment file. A segment that does not start with it
+// is not this log's data and is never replayed, appended to or truncated.
 var segMagic = [8]byte{'M', 'T', 'P', 'S', 'S', 'G', '2', '\n'}
 
 const segHeaderLen = int64(len(segMagic))
@@ -127,25 +125,14 @@ func (o *Options) defaults() {
 type segment struct {
 	id   uint32
 	f    *os.File
-	ver  uint8        // 1: legacy checksum-less records; 2: magic header + CRC records
 	size atomic.Int64 // bytes appended (stable once sealed)
 	dead atomic.Int64 // bytes belonging to superseded/deleted records
 }
 
-// recHdr is the segment's per-record header length.
-func (s *segment) recHdr() int64 {
-	if s.ver >= 2 {
-		return recHeaderV2
-	}
-	return recHeaderV1
-}
-
-// base is the offset of the segment's first record.
-func (s *segment) base() int64 {
-	if s.ver >= 2 {
-		return segHeaderLen
-	}
-	return 0
+// recordSum is the checksum a record carries: hdr is its first recSumOff
+// bytes (or more).
+func recordSum(hdr, val []byte) uint32 {
+	return crc32.Update(crc32.Checksum(hdr[:recSumOff], castagnoli), castagnoli, val)
 }
 
 // segSet is the copy-on-write view of the segment list, ordered by id.
@@ -387,8 +374,8 @@ func (l *Log) replay() error {
 	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i] > ckpts[j] }) // newest first
 
 	set := &segSet{}
-	for _, id := range ids {
-		seg, err := openSegment(l.opts.Dir, id)
+	for i, id := range ids {
+		seg, err := openSegment(l.opts.Dir, id, i == len(ids)-1)
 		if err != nil {
 			for _, s := range set.segs {
 				s.f.Close()
@@ -448,12 +435,16 @@ func (l *Log) replay() error {
 	return nil
 }
 
-// openSegment opens one segment file and sniffs its format version. An
-// empty file (created, then crashed before the header write) is stamped
-// with the current header; a file shorter than the header replays as
-// legacy and truncates to empty.
-func openSegment(dir string, id uint32) (*segment, error) {
-	f, err := os.OpenFile(filepath.Join(dir, segName(id)), os.O_RDWR, 0o644)
+// openSegment opens one segment file and checks its magic. A file shorter
+// than the magic can only be the active segment (the last one) caught by a
+// crash between its creation and the end of the header write: no record
+// was ever appended behind a torn header, so the magic is stamped afresh.
+// Anything else without the magic is not a segment this log wrote; Open
+// fails naming it rather than guess at its format, and the file is left
+// exactly as found.
+func openSegment(dir string, id uint32, active bool) (*segment, error) {
+	path := filepath.Join(dir, segName(id))
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -462,25 +453,25 @@ func openSegment(dir string, id uint32) (*segment, error) {
 		f.Close()
 		return nil, err
 	}
-	seg := &segment{id: id, f: f, ver: 1}
 	size := fi.Size()
-	if size >= segHeaderLen {
-		var hdr [8]byte
-		if _, err := f.ReadAt(hdr[:], 0); err != nil {
-			f.Close()
-			return nil, err
+	var hdr [8]byte
+	switch {
+	case size >= segHeaderLen:
+		_, err = f.ReadAt(hdr[:], 0)
+		if err == nil && hdr != segMagic {
+			err = fmt.Errorf("coldtier: %s does not start with the segment magic; refusing to replay or modify it", path)
 		}
-		if hdr == segMagic {
-			seg.ver = 2
-		}
-	} else if size == 0 {
-		if _, err := f.Write(segMagic[:]); err != nil {
-			f.Close()
-			return nil, err
-		}
-		seg.ver = 2
+	case active:
+		_, err = f.WriteAt(segMagic[:], 0)
 		size = segHeaderLen
+	default:
+		err = fmt.Errorf("coldtier: sealed segment %s is %d bytes, shorter than the segment magic; refusing to replay or modify it", path, size)
 	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	seg := &segment{id: id, f: f}
 	seg.size.Store(size)
 	return seg, nil
 }
@@ -489,7 +480,7 @@ func openSegment(dir string, id uint32) (*segment, error) {
 func (l *Log) fullRescan(now uint64) {
 	segs := l.set.Load().segs
 	for i, seg := range segs {
-		l.scanSegment(seg, seg.base(), now, i == len(segs)-1)
+		l.scanSegment(seg, segHeaderLen, now, i == len(segs)-1)
 	}
 }
 
@@ -511,22 +502,21 @@ func (l *Log) scanSegment(seg *segment, from int64, now uint64, last bool) {
 
 // replayRecords indexes seg's records in [from, size) and returns the
 // offset just past the last valid record plus whether the whole range
-// parsed cleanly. v2 records are CRC-verified (the value bytes are read
-// and checked); v1 records get the legacy structural checks only.
+// parsed cleanly. Every record is CRC-verified (the value bytes are read
+// and checked).
 func (l *Log) replayRecords(seg *segment, from, size int64, now uint64) (int64, bool) {
-	rh := seg.recHdr()
-	if from < seg.base() {
-		from = seg.base()
+	if from < segHeaderLen {
+		from = segHeaderLen
 	}
 	if from >= size {
 		return from, from == size
 	}
 	br := bufio.NewReaderSize(io.NewSectionReader(seg.f, from, size-from), 256<<10)
-	var hdr [recHeaderV2]byte
+	var hdr [recHeaderLen]byte
 	var vbuf []byte
 	off := from
-	for off+rh <= size {
-		if _, err := io.ReadFull(br, hdr[:rh]); err != nil {
+	for off+recHeaderLen <= size {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return off, false
 		}
 		kind := hdr[0]
@@ -534,26 +524,19 @@ func (l *Log) replayRecords(seg *segment, from, size int64, now uint64) (int64, 
 		exp := binary.LittleEndian.Uint64(hdr[9:17])
 		vlen := binary.LittleEndian.Uint32(hdr[17:21])
 		if kind > recTombstone || vlen > maxValue || (kind == recTombstone && vlen != 0) ||
-			off+rh+int64(vlen) > size {
+			off+recHeaderLen+int64(vlen) > size {
 			return off, false
 		}
-		if seg.ver >= 2 {
-			if cap(vbuf) < int(vlen) {
-				vbuf = make([]byte, vlen)
-			}
-			if _, err := io.ReadFull(br, vbuf[:vlen]); err != nil {
-				return off, false
-			}
-			sum := crc32.Update(crc32.Checksum(hdr[:recHeaderV1], castagnoli), castagnoli, vbuf[:vlen])
-			if sum != binary.LittleEndian.Uint32(hdr[21:recHeaderV2]) {
-				return off, false
-			}
-		} else if vlen > 0 {
-			if _, err := br.Discard(int(vlen)); err != nil {
-				return off, false
-			}
+		if cap(vbuf) < int(vlen) {
+			vbuf = make([]byte, vlen)
 		}
-		recLen := rh + int64(vlen)
+		if _, err := io.ReadFull(br, vbuf[:vlen]); err != nil {
+			return off, false
+		}
+		if recordSum(hdr[:], vbuf[:vlen]) != binary.LittleEndian.Uint32(hdr[recSumOff:]) {
+			return off, false
+		}
+		recLen := recHeaderLen + int64(vlen)
 		l.recReplayed.Add(1)
 		st := &l.stripes[key%idxStripes]
 		switch kind {
@@ -591,7 +574,7 @@ func (l *Log) replayRecords(seg *segment, from, size int64, now uint64) (int64, 
 // the segment has already been compacted away.
 func (l *Log) deadAt(loc Loc) {
 	if seg := l.set.Load().find(loc.Seg); seg != nil {
-		seg.dead.Add(seg.recHdr() + int64(loc.Len))
+		seg.dead.Add(recHeaderLen + int64(loc.Len))
 	}
 }
 
@@ -607,7 +590,7 @@ func (l *Log) newSegment() (*segment, error) {
 		os.Remove(filepath.Join(l.opts.Dir, segName(id)))
 		return nil, err
 	}
-	seg := &segment{id: id, f: f, ver: 2}
+	seg := &segment{id: id, f: f}
 	seg.size.Store(segHeaderLen)
 	return seg, nil
 }
@@ -622,8 +605,8 @@ func (l *Log) append(kind byte, key, exp uint64, val []byte) (Loc, error) {
 	if l.closed.Load() {
 		return Loc{}, ErrClosed
 	}
-	if sz := l.active.size.Load(); sz > l.active.base() &&
-		sz+recHeaderV2+int64(len(val)) > l.opts.SegmentBytes {
+	if sz := l.active.size.Load(); sz > segHeaderLen &&
+		sz+recHeaderLen+int64(len(val)) > l.opts.SegmentBytes {
 		seg, err := l.newSegment()
 		if err != nil {
 			return Loc{}, err
@@ -636,22 +619,18 @@ func (l *Log) append(kind byte, key, exp uint64, val []byte) (Loc, error) {
 		l.active = seg
 	}
 	seg := l.active
-	rh := int(seg.recHdr())
-	need := int64(rh) + int64(len(val))
+	need := recHeaderLen + len(val)
 	off := seg.size.Load()
-	if cap(l.wbuf) < rh+len(val) {
-		l.wbuf = make([]byte, rh+len(val))
+	if cap(l.wbuf) < need {
+		l.wbuf = make([]byte, need)
 	}
-	buf := l.wbuf[:rh+len(val)]
+	buf := l.wbuf[:need]
 	buf[0] = kind
 	binary.LittleEndian.PutUint64(buf[1:9], key)
 	binary.LittleEndian.PutUint64(buf[9:17], exp)
 	binary.LittleEndian.PutUint32(buf[17:21], uint32(len(val)))
-	copy(buf[rh:], val)
-	if seg.ver >= 2 {
-		sum := crc32.Update(crc32.Checksum(buf[:recHeaderV1], castagnoli), castagnoli, val)
-		binary.LittleEndian.PutUint32(buf[21:recHeaderV2], sum)
-	}
+	binary.LittleEndian.PutUint32(buf[recSumOff:], recordSum(buf, val))
+	copy(buf[recHeaderLen:], val)
 	if l.opts.WriteHook != nil {
 		if n, err := l.opts.WriteHook(buf); err != nil {
 			if n > 0 {
@@ -666,7 +645,7 @@ func (l *Log) append(kind byte, key, exp uint64, val []byte) (Loc, error) {
 	if _, err := seg.f.WriteAt(buf, off); err != nil {
 		return Loc{}, err
 	}
-	seg.size.Store(off + need)
+	seg.size.Store(off + int64(need))
 	l.appends.Inc(0)
 	return Loc{Seg: seg.id, Off: off, Len: uint32(len(val))}, nil
 }
@@ -774,9 +753,9 @@ func (l *Log) Locate(key uint64) (Loc, bool) {
 // Get reads key's value into buf (append-style, like seqitem.Read) and
 // returns the filled slice, the record's expiry deadline, and its
 // location. Records past their deadline at now read as misses and are
-// dropped from the index lazily. On CRC-carrying segments the record is
-// verified before it is served, so a torn or corrupted record reads as a
-// miss, never as a wrong value.
+// dropped from the index lazily. The record's CRC is verified before it is
+// served, so a torn or corrupted record reads as a miss, never as a wrong
+// value.
 func (l *Log) Get(key uint64, buf []byte, now int64) (val []byte, exp uint64, loc Loc, ok bool) {
 	for attempt := 0; attempt < 4; attempt++ {
 		st := &l.stripes[key%idxStripes]
@@ -802,8 +781,7 @@ func (l *Log) Get(key uint64, buf []byte, now int64) (val []byte, exp uint64, lo
 		if seg == nil {
 			continue // compacted away between lookup and read; index moved
 		}
-		rh := int(seg.recHdr())
-		n := rh + int(ent.loc.Len)
+		n := recHeaderLen + int(ent.loc.Len)
 		if cap(buf) < n {
 			buf = make([]byte, n)
 		}
@@ -816,15 +794,12 @@ func (l *Log) Get(key uint64, buf []byte, now int64) (val []byte, exp uint64, lo
 			l.readErrs.Inc(0)
 			return nil, 0, Loc{}, false
 		}
-		if seg.ver >= 2 {
-			sum := crc32.Update(crc32.Checksum(b[:recHeaderV1], castagnoli), castagnoli, b[rh:])
-			if sum != binary.LittleEndian.Uint32(b[21:recHeaderV2]) {
-				l.readErrs.Inc(0)
-				return nil, 0, Loc{}, false
-			}
+		if recordSum(b, b[recHeaderLen:]) != binary.LittleEndian.Uint32(b[recSumOff:]) {
+			l.readErrs.Inc(0)
+			return nil, 0, Loc{}, false
 		}
 		l.reads.Inc(0)
-		copy(b, b[rh:])
+		copy(b, b[recHeaderLen:])
 		return b[:ent.loc.Len], ent.exp, ent.loc, true
 	}
 	return nil, 0, Loc{}, false
@@ -895,7 +870,7 @@ func (l *Log) Compact() int {
 	removed := 0
 	for _, seg := range set.segs[:len(set.segs)-1] { // never the active segment
 		sz := seg.size.Load()
-		if sz <= seg.base() || float64(seg.dead.Load()) < l.opts.CompactMinDead*float64(sz) {
+		if sz <= segHeaderLen || float64(seg.dead.Load()) < l.opts.CompactMinDead*float64(sz) {
 			continue
 		}
 		if l.compactSegment(seg, seg.id == minID) {
@@ -914,19 +889,18 @@ func (l *Log) Compact() int {
 // seg is the lowest-id live segment.
 func (l *Log) compactSegment(seg *segment, oldest bool) bool {
 	size := seg.size.Load()
-	rh := seg.recHdr()
-	var hdr [recHeaderV2]byte
+	var hdr [recHeaderLen]byte
 	val := make([]byte, 0, 4096)
 	now := uint64(time.Now().UnixNano())
-	for off := seg.base(); off+rh <= size; {
-		if _, err := seg.f.ReadAt(hdr[:rh], off); err != nil {
+	for off := segHeaderLen; off+recHeaderLen <= size; {
+		if _, err := seg.f.ReadAt(hdr[:], off); err != nil {
 			return false
 		}
 		kind := hdr[0]
 		key := binary.LittleEndian.Uint64(hdr[1:9])
 		exp := binary.LittleEndian.Uint64(hdr[9:17])
 		vlen := binary.LittleEndian.Uint32(hdr[17:21])
-		if kind > recTombstone || off+rh+int64(vlen) > size {
+		if kind > recTombstone || off+recHeaderLen+int64(vlen) > size {
 			return false // should not happen on a sealed segment
 		}
 		thisLoc := Loc{Seg: seg.id, Off: off, Len: vlen}
@@ -947,14 +921,11 @@ func (l *Log) compactSegment(seg *segment, oldest bool) bool {
 					if cap(val) < int(vlen) {
 						val = make([]byte, vlen)
 					}
-					if _, err := seg.f.ReadAt(val[:vlen], off+rh); err != nil {
+					if _, err := seg.f.ReadAt(val[:vlen], off+recHeaderLen); err != nil {
 						return false
 					}
-					if seg.ver >= 2 {
-						sum := crc32.Update(crc32.Checksum(hdr[:recHeaderV1], castagnoli), castagnoli, val[:vlen])
-						if sum != binary.LittleEndian.Uint32(hdr[21:recHeaderV2]) {
-							return false // corrupt record: leave the segment alone
-						}
+					if recordSum(hdr[:], val[:vlen]) != binary.LittleEndian.Uint32(hdr[recSumOff:]) {
+						return false // corrupt record: leave the segment alone
 					}
 					if ok, err := l.PutIf(key, exp, val[:vlen], thisLoc); err != nil {
 						return false
@@ -982,7 +953,7 @@ func (l *Log) compactSegment(seg *segment, oldest bool) bool {
 				}
 			}
 		}
-		off += rh + int64(vlen)
+		off += recHeaderLen + int64(vlen)
 	}
 	// Unpublish, then retire the file. Readers holding the old set finish
 	// their preads against the still-open fd; it joins the graveyard and

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -89,7 +90,7 @@ func TestOverwriteAndDeadAccounting(t *testing.T) {
 		t.Fatalf("DeadBytes = %d before overwrite", l.DeadBytes())
 	}
 	l.Put(7, 0, val(8, 64))
-	if want := int64(recHeaderV2 + 64); l.DeadBytes() != want {
+	if want := int64(recHeaderLen + 64); l.DeadBytes() != want {
 		t.Fatalf("DeadBytes = %d, want %d", l.DeadBytes(), want)
 	}
 	v, _, _, ok := l.Get(7, nil, time.Now().UnixNano())
@@ -444,47 +445,87 @@ func TestParseSegName(t *testing.T) {
 	}
 }
 
-// TestLegacyFormatReadable hand-crafts a checksum-less v1 segment and
-// verifies the current code still replays and serves it, and that appends
-// into the legacy file keep its format consistent.
-func TestLegacyFormatReadable(t *testing.T) {
-	dir := t.TempDir()
-	rec := func(kind byte, key uint64, v []byte) []byte {
-		b := make([]byte, recHeaderV1+len(v))
-		b[0] = kind
-		binary.LittleEndian.PutUint64(b[1:9], key)
-		binary.LittleEndian.PutUint32(b[17:21], uint32(len(v)))
-		copy(b[recHeaderV1:], v)
-		return b
-	}
-	var file []byte
-	file = append(file, rec(recValue, 1, val(1, 40))...)
-	file = append(file, rec(recValue, 2, val(2, 40))...)
-	file = append(file, rec(recTombstone, 2, nil)...)
-	if err := os.WriteFile(filepath.Join(dir, segName(1)), file, 0o644); err != nil {
-		t.Fatal(err)
-	}
+// TestTornSegmentHeaderRestamped crashes the log between creating its
+// active segment and finishing the 8-byte magic. Every length short of the
+// magic must reopen as an empty segment: the file leads with the magic
+// again and every record appended afterwards carries a CRC.
+func TestTornSegmentHeaderRestamped(t *testing.T) {
+	for torn := 0; torn < int(segHeaderLen); torn++ {
+		dir := t.TempDir()
+		path := filepath.Join(dir, segName(1))
+		if err := os.WriteFile(path, segMagic[:torn], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l := openTest(t, dir, 1<<20)
+		for k := uint64(1); k <= 3; k++ {
+			if _, err := l.Put(k, 0, val(k, 40)); err != nil {
+				t.Fatalf("torn=%d: Put(%d): %v", torn, k, err)
+			}
+		}
+		crash(l)
 
-	l := openTest(t, dir, 1<<20)
-	if v, _, _, ok := l.Get(1, nil, time.Now().UnixNano()); !ok || !bytes.Equal(v, val(1, 40)) {
-		t.Fatal("v1 record unreadable")
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// parseRecords insists on the magic and stops at the first record
+		// whose checksum does not verify.
+		recs := parseRecords(t, img)
+		if len(recs) != 3 || recs[2].end != int64(len(img)) {
+			t.Fatalf("torn=%d: %d checksummed records covering %d of %d bytes, want 3 covering all",
+				torn, len(recs), recs[len(recs)-1].end, len(img))
+		}
+		l2 := openTest(t, dir, 1<<20)
+		checkState(t, l2, recs[2].state, "torn-header="+itoa(int64(torn)))
+		crash(l2)
 	}
-	if _, _, _, ok := l.Get(2, nil, time.Now().UnixNano()); ok {
-		t.Fatal("v1 tombstone ignored")
+}
+
+// TestForeignSegmentRefused: a file with a segment's exact name but not the
+// magic must fail Open with an error that names it, and must keep every
+// byte. The cases are a full-size checksum-less log, as the only segment
+// and as a sealed one, and a sealed segment cut short of its header (only
+// the active one can be torn there).
+func TestForeignSegmentRefused(t *testing.T) {
+	var plain []byte
+	for k := uint64(1); k <= 2; k++ {
+		rec := make([]byte, recSumOff+40)
+		binary.LittleEndian.PutUint64(rec[1:9], k)
+		binary.LittleEndian.PutUint32(rec[17:21], 40)
+		copy(rec[recSumOff:], val(k, 40))
+		plain = append(plain, rec...)
 	}
-	// Appends land in the legacy segment in legacy format; reopen must
-	// still parse the mixed file.
-	if _, err := l.Put(3, 0, val(3, 40)); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	l2 := openTest(t, dir, 1<<20)
-	defer l2.Close()
-	if v, _, _, ok := l2.Get(3, nil, time.Now().UnixNano()); !ok || !bytes.Equal(v, val(3, 40)) {
-		t.Fatal("append into v1 segment lost across reopen")
-	}
-	if l2.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", l2.Len())
+	for _, tc := range []struct {
+		name    string
+		foreign []byte
+		sealed  bool // a real segment 2 follows the foreign segment 1
+	}{
+		{"no-magic-active", plain, false},
+		{"no-magic-sealed", plain, true},
+		{"short-sealed", segMagic[:5], true},
+	} {
+		dir := t.TempDir()
+		if tc.sealed {
+			l := openTest(t, dir, 1<<20)
+			if _, err := l.Put(9, 0, val(9, 40)); err != nil {
+				t.Fatal(err)
+			}
+			crash(l)
+			if err := os.Rename(filepath.Join(dir, segName(1)), filepath.Join(dir, segName(2))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		path := filepath.Join(dir, segName(1))
+		if err := os.WriteFile(path, tc.foreign, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(Options{Dir: dir, CompactInterval: -1, CheckpointInterval: -1})
+		if err == nil || !strings.Contains(err.Error(), segName(1)) {
+			t.Fatalf("%s: Open err = %v, want a refusal naming %s", tc.name, err, segName(1))
+		}
+		if got, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(got, tc.foreign) {
+			t.Fatalf("%s: refused file was modified (%d bytes, was %d; %v)", tc.name, len(got), len(tc.foreign), rerr)
+		}
 	}
 }
 

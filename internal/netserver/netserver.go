@@ -3,46 +3,48 @@
 // system (the RDMA dataplane is replaced by the operating system's TCP
 // stack; the thread architecture behind the listener is unchanged).
 //
-// Wire format (little-endian):
+// There is one wire version. Frames are little-endian and strictly FIFO
+// per connection:
 //
 //	request:  op(1) key(8) len(4) payload[len]
-//	          op: 0=get 1=put 2=delete 3=scan (payload = count uint32)
-//	              4=stats (no payload; response = 5 × uint64 counters)
-//	              5=stats2 (no payload; versioned named-pair response)
-//	              6=mget (key unused; payload = count(4) then count ×
-//	              key(8) — a batched multi-get executed server-side as one
-//	              frame: every key enters the store's async path together
-//	              and the responses retire as one FIFO burst)
-//	              7=put-ttl (payload = ttl_nanos(8) then value; ttl 0 =
-//	              server default) 8=get-ttl (found payload = remaining
-//	              ttl_nanos(8) then value, 0 = no expiry)
 //	response: status(1) len(4) payload[len]
-//	          status: 0=found/ok 1=not found 2=error (payload = message)
-//	          3=backlogged (retryable: the store shed the request under
-//	          overload; old clients that predate status 3 surface it as an
-//	          unknown-status transport error and reconnect)
-//	          4=expired (a TTL deadline passed: the key reads as missing;
-//	          distinct from 1 so TTL-aware clients can tell expiry from
-//	          absence — old clients test status == 0 and treat both as a
-//	          miss, the same degradation pattern as status 3)
-//	          scan payload: count(4) then count × { key(8) vlen(4) val }
-//	          stats2 payload: count(4) then count × { nlen(2) name
-//	          float64bits(8) } — self-describing, so servers may add
-//	          metrics without breaking old clients, and new clients fall
-//	          back to op 4 when an old server rejects op 5
-//	          mget payload: count(4) then count × { found(1) vlen(4) val },
-//	          positional with the request keys; servers predating op 6
-//	          reject it with a status-error reply ("unknown op 6"), and
-//	          clients degrade to per-key pipelined gets — the same
-//	          versioning pattern as stats2
+//
+//	op  name     request payload            found/ok response payload
+//	0   get      —                          value
+//	1   put      value                      —
+//	2   delete   —                          —
+//	3   scan     count(4)                   count(4) then count × { key(8) vlen(4) val }
+//	4   (reserved: answers status 2 "unknown op 4"; never reassigned)
+//	5   stats2   —                          count(4) then count × { nlen(2) name float64bits(8) }
+//	6   mget     count(4) then count×key(8) count(4) then count × { found(1) vlen(4) val }
+//	7   put-ttl  ttl_nanos(8) then value    —
+//	8   get-ttl  —                          ttl_nanos(8) then value
+//
+//	status  meaning
+//	0       found / ok
+//	1       not found
+//	2       error: payload is the message; the connection stays usable
+//	3       backlogged: the store shed the request unexecuted; retryable,
+//	        the connection stays usable
+//	4       expired: a TTL deadline passed; reads as missing, distinct
+//	        from 1 so a client can tell expiry from absence
+//
+// key is the scan start for op 3 and unused for ops 5 and 6. A put-ttl of
+// 0 selects the server's default TTL; a get-ttl of 0 means no expiry. The
+// stats2 payload is self-describing (name/value pairs), so the server may
+// add series without a protocol change. One mget frame occupies one slot
+// of the connection's window: its keys enter the store's async path
+// together, the response is positional with the request keys, and a
+// rejection fails the whole frame (gets have no side effects; the caller
+// retries).
 package netserver
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"sync"
@@ -52,24 +54,24 @@ import (
 	"mutps/internal/arena"
 	"mutps/internal/kvcore"
 	"mutps/internal/obs"
-	"mutps/internal/rpc"
 )
 
-// Op codes on the wire.
+// Op codes on the wire. The numbers are the protocol: they are written out
+// rather than counted so that an edit here cannot renumber a later op.
+// 4 is reserved (see the package table) and must not be reassigned.
 const (
-	OpGet byte = iota
-	OpPut
-	OpDelete
-	OpScan
-	OpStats
-	OpStats2
-	OpMGet
+	OpGet    byte = 0
+	OpPut    byte = 1
+	OpDelete byte = 2
+	OpScan   byte = 3
+	OpStats2 byte = 5
+	OpMGet   byte = 6
 	// OpPutTTL carries the item's TTL as the first 8 payload bytes
 	// (nanoseconds; 0 selects the server's default TTL), then the value.
-	OpPutTTL
+	OpPutTTL byte = 7
 	// OpGetTTL is a get whose found-response payload leads with the
 	// remaining TTL in nanoseconds (0 = no expiry), then the value.
-	OpGetTTL
+	OpGetTTL byte = 8
 )
 
 // MaxMGetKeys bounds the keys one mget frame may carry: each key claims a
@@ -78,20 +80,18 @@ const (
 // Clients split larger batches across frames.
 const MaxMGetKeys = 1024
 
-// Status codes on the wire.
+// Status codes on the wire, written out for the same reason as the ops.
 const (
-	StatusFound byte = iota
-	StatusNotFound
-	StatusError
+	StatusFound    byte = 0
+	StatusNotFound byte = 1
+	StatusError    byte = 2
 	// StatusBacklogged is a retryable rejection: the store's receive ring
 	// stayed full for the whole backpressure budget and the request was
 	// shed without executing. The connection remains usable.
-	StatusBacklogged
+	StatusBacklogged byte = 3
 	// StatusExpired reports a key whose TTL deadline has passed: it reads
-	// as missing, but TTL-aware clients can distinguish expiry from plain
-	// absence. Old clients test status == StatusFound, so to them it
-	// degrades to a miss.
-	StatusExpired
+	// as missing, but a client can distinguish expiry from plain absence.
+	StatusExpired byte = 4
 )
 
 // ErrBacklogged is returned by client calls when the server replies
@@ -194,7 +194,7 @@ var netOpLabels = [5]string{`op="get"`, `op="put"`, `op="delete"`, `op="scan"`, 
 // their base op's slot — the service path is the same.
 func latIndex(op byte) int {
 	switch {
-	case op < OpStats:
+	case op <= OpScan:
 		return int(op)
 	case op == OpMGet:
 		return 4
@@ -308,52 +308,54 @@ func (s *Server) Close() error { return s.tr.Close() }
 // it, so startup logs show the real connection cost model.
 func (s *Server) Transport() string { return s.tr.name() }
 
-// legacyStatNames are the five counters the fixed-layout op 4 frame
-// carries, re-exported under stable names in the stats2 payload so
-// consumers can drop the legacy op without losing any field.
-var legacyStatNames = [5]string{"ops", "cr_hits", "forwarded", "items", "hot_size"}
+// stableStatNames lead every stats2 payload: the store's five headline
+// counters under fixed short names, so a consumer can read them without
+// knowing the registry's series names.
+var stableStatNames = [5]string{"ops", "cr_hits", "forwarded", "items", "hot_size"}
 
-// appendStats2 builds the versioned stats payload: the five legacy
-// counters under their stable names, then every sample the store's metric
-// registry exports.
+// appendStats2 builds the stats2 payload: the five stable counters, then
+// every sample the store's metric registry exports.
 func (s *Server) appendStats2(body []byte) []byte {
 	st := s.store.Stats()
-	legacy := [5]float64{
+	stable := [5]float64{
 		float64(st.Ops), float64(st.CRHits), float64(st.Forwarded),
 		float64(st.Items), float64(st.HotSize),
 	}
 	samples := s.store.Metrics().Snapshot()
-
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(legacy)+len(samples)))
-	body = append(body, n[:]...)
-	appendPair := func(name string, v float64) {
-		var hdr [2]byte
-		binary.LittleEndian.PutUint16(hdr[:], uint16(len(name)))
-		body = append(body, hdr[:]...)
-		body = append(body, name...)
-		var val [8]byte
-		binary.LittleEndian.PutUint64(val[:], math.Float64bits(v))
-		body = append(body, val[:]...)
-	}
-	for i, name := range legacyStatNames {
-		appendPair(name, legacy[i])
+	body = binary.LittleEndian.AppendUint32(body, uint32(len(stable)+len(samples)))
+	for i, name := range stableStatNames {
+		body = appendStat(body, name, stable[i])
 	}
 	for _, smp := range samples {
-		appendPair(smp.Name, smp.Value)
+		body = appendStat(body, smp.Name, smp.Value)
 	}
 	return body
 }
 
-// writeStoreErr maps a store error onto the wire: overload shedding
-// becomes the retryable StatusBacklogged, everything else (including
-// rpc.ErrClosed during shutdown) a StatusError with the message as
-// payload. Error paths may allocate; the hot paths never reach here.
-func writeStoreErr(w *bufio.Writer, err error) error {
-	if errors.Is(err, rpc.ErrBacklogged) {
-		return writeResp(w, StatusBacklogged, nil)
+// appendStat encodes one stats2 entry: nlen(2) name float64bits(8).
+func appendStat(body []byte, name string, v float64) []byte {
+	body = binary.LittleEndian.AppendUint16(body, uint16(len(name)))
+	body = append(body, name...)
+	return binary.LittleEndian.AppendUint64(body, math.Float64bits(v))
+}
+
+// appendMGetEntry encodes one positional mget response entry:
+// found(1) vlen(4) val.
+func appendMGetEntry(body []byte, found bool, val []byte) []byte {
+	var flag byte
+	if found {
+		flag = 1
 	}
-	return writeResp(w, StatusError, []byte(err.Error()))
+	body = append(body, flag)
+	body = binary.LittleEndian.AppendUint32(body, uint32(len(val)))
+	return append(body, val...)
+}
+
+// appendScanEntry encodes one scan response entry: key(8) vlen(4) val.
+func appendScanEntry(body []byte, key uint64, val []byte) []byte {
+	body = binary.LittleEndian.AppendUint64(body, key)
+	body = binary.LittleEndian.AppendUint32(body, uint32(len(val)))
+	return append(body, val...)
 }
 
 func writeResp(w *bufio.Writer, status byte, payload []byte) error {
@@ -367,15 +369,14 @@ func writeResp(w *bufio.Writer, status byte, payload []byte) error {
 	return err
 }
 
-// Client is a synchronous client for the netserver protocol; it is safe
-// for concurrent use (calls serialize on the connection).
+// Client is the synchronous client for the netserver protocol: a
+// PipelineClient driven one request at a time, so the wire codec and the
+// handling of a failed connection exist once. It is safe for concurrent
+// use (calls serialize on the connection).
 type Client struct {
 	mu        sync.Mutex
-	conn      net.Conn
-	r         *bufio.Reader
-	w         *bufio.Writer
+	pc        *PipelineClient
 	opTimeout time.Duration
-	broken    error // first transport failure; poisons all later calls
 }
 
 // Dial connects to a μTPS network server with no per-op deadline.
@@ -386,17 +387,14 @@ func Dial(addr string) (*Client, error) {
 // DialTimeout connects like Dial but bounds the connect itself by
 // dialTimeout and every subsequent operation by opTimeout (zero disables
 // either). A timed-out operation leaves the request/response stream out of
-// sync, so it marks the connection broken: every later call fails fast and
-// the caller reconnects.
+// sync, so it ends the connection: every later call fails fast with a
+// "connection broken" error and the caller reconnects.
 func DialTimeout(addr string, dialTimeout, opTimeout time.Duration) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
+	pc, err := dialPipeline(addr, 1, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	return &Client{
-		conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn),
-		opTimeout: opTimeout,
-	}, nil
+	return &Client{pc: pc, opTimeout: opTimeout}, nil
 }
 
 // SetOpTimeout changes the per-operation deadline (zero disables it). It
@@ -407,63 +405,36 @@ func (c *Client) SetOpTimeout(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+// Close closes the connection and waits for its read loop to exit.
+func (c *Client) Close() error { return c.pc.Close() }
 
+// roundTrip runs one request to completion. The body is copied out of the
+// pooled future, so it is caller-owned. In-protocol error replies
+// (StatusError, StatusBacklogged) come back as errors with the connection
+// still usable; a transport failure or an expired deadline is terminal for
+// the connection (see PipelineClient).
 func (c *Client) roundTrip(op byte, key uint64, payload []byte) (byte, []byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.broken != nil {
-		return 0, nil, fmt.Errorf("netserver: connection broken by earlier failure: %w", c.broken)
-	}
+	var deadline time.Time
 	if c.opTimeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.opTimeout))
-	} else {
-		c.conn.SetDeadline(time.Time{})
+		deadline = time.Now().Add(c.opTimeout)
 	}
-	fail := func(err error) (byte, []byte, error) {
-		// A transport failure mid-exchange desynchronizes the stream (a
-		// late response would be matched to the wrong request), so the
-		// connection is done: poison it and close, releasing any peer-side
-		// state. Waiters already queued on mu fail fast on broken.
-		c.broken = err
-		c.conn.Close()
+	// SetDeadline fails only on a connection that is already closed, which
+	// Send reports.
+	_ = c.pc.SetDeadline(deadline)
+	f, err := c.pc.Send(op, key, payload)
+	if err != nil {
 		return 0, nil, err
 	}
-	var hdr [13]byte
-	hdr[0] = op
-	binary.LittleEndian.PutUint64(hdr[1:9], key)
-	binary.LittleEndian.PutUint32(hdr[9:13], uint32(len(payload)))
-	if _, err := c.w.Write(hdr[:]); err != nil {
-		return fail(err)
+	defer f.Release()
+	// A failed flush ends the connection, which completes f with the cause.
+	_ = c.pc.Flush()
+	st, body, err := f.Wait()
+	if err != nil {
+		return st, nil, err
 	}
-	if _, err := c.w.Write(payload); err != nil {
-		return fail(err)
-	}
-	if err := c.w.Flush(); err != nil {
-		return fail(err)
-	}
-	var rh [5]byte
-	if _, err := io.ReadFull(c.r, rh[:]); err != nil {
-		return fail(err)
-	}
-	plen := binary.LittleEndian.Uint32(rh[1:5])
-	if plen > maxPayload {
-		return fail(errors.New("netserver: oversized response"))
-	}
-	body := make([]byte, plen)
-	if _, err := io.ReadFull(c.r, body); err != nil {
-		return fail(err)
-	}
-	switch rh[0] {
-	case StatusError:
-		// An in-protocol error reply: the stream is still in sync and the
-		// connection stays usable.
-		return rh[0], nil, fmt.Errorf("netserver: %s", body)
-	case StatusBacklogged:
-		return rh[0], nil, ErrBacklogged
-	}
-	return rh[0], body, nil
+	return st, bytes.Clone(body), nil
 }
 
 // Get fetches the value for key.
@@ -483,8 +454,6 @@ func (c *Client) Put(key uint64, val []byte) error {
 
 // PutTTL stores val under key with a per-item TTL. ttl <= 0 selects the
 // server's configured default (and "never" when that is unset too).
-// Servers predating OpPutTTL reject the frame with a status-error reply
-// ("unknown op 7") and the connection stays usable.
 func (c *Client) PutTTL(key uint64, val []byte, ttl time.Duration) error {
 	payload := make([]byte, 8+len(val))
 	if ttl > 0 {
@@ -521,61 +490,41 @@ func (c *Client) Delete(key uint64) (bool, error) {
 	return st == StatusFound, nil
 }
 
-// Stats fetches the server's counter snapshot.
-func (c *Client) Stats() (kvcore.Stats, error) {
-	_, body, err := c.roundTrip(OpStats, 0, nil)
-	if err != nil {
-		return kvcore.Stats{}, err
-	}
-	if len(body) != 40 {
-		return kvcore.Stats{}, errors.New("netserver: malformed stats response")
-	}
-	return kvcore.Stats{
-		Ops:       binary.LittleEndian.Uint64(body[0:]),
-		CRHits:    binary.LittleEndian.Uint64(body[8:]),
-		Forwarded: binary.LittleEndian.Uint64(body[16:]),
-		Items:     int(binary.LittleEndian.Uint64(body[24:])),
-		HotSize:   int(binary.LittleEndian.Uint64(body[32:])),
-	}, nil
-}
-
-// StatsMap fetches the server's versioned stats payload: every metric the
-// server exports, keyed by series name, including the five legacy
-// counters under "ops", "cr_hits", "forwarded", "items", "hot_size".
-// Against a server predating the stats2 op it falls back to the legacy
-// fixed frame (the old server rejects the unknown op with a status-error
-// response, leaving the connection usable), so the map then carries just
-// the five legacy keys.
+// StatsMap fetches the server's stats2 payload: every metric the server
+// exports, keyed by series name, led by the five stable counters "ops",
+// "cr_hits", "forwarded", "items", "hot_size".
 func (c *Client) StatsMap() (map[string]float64, error) {
-	st, body, err := c.roundTrip(OpStats2, 0, nil)
+	_, body, err := c.roundTrip(OpStats2, 0, nil)
 	if err != nil {
-		if st != StatusError {
-			return nil, err // transport failure, not an old server
-		}
-		legacy, lerr := c.Stats()
-		if lerr != nil {
-			return nil, lerr
-		}
-		return map[string]float64{
-			"ops":       float64(legacy.Ops),
-			"cr_hits":   float64(legacy.CRHits),
-			"forwarded": float64(legacy.Forwarded),
-			"items":     float64(legacy.Items),
-			"hot_size":  float64(legacy.HotSize),
-		}, nil
+		return nil, err
 	}
 	return decodeStats2(body)
 }
 
-// decodeStats2 parses a stats2 payload into a name→value map.
-func decodeStats2(body []byte) (map[string]float64, error) {
+// entryCount splits a response payload into its leading 32-bit entry count
+// and the entries. The count comes off the wire and sizes the decoder's
+// result, so one the remaining bytes cannot hold — at minEntry bytes per
+// entry — is rejected here, before anything is allocated from it.
+func entryCount(body []byte, minEntry int, what string) (int, []byte, error) {
 	if len(body) < 4 {
-		return nil, errors.New("netserver: short stats2 response")
+		return 0, nil, fmt.Errorf("netserver: short %s response", what)
 	}
 	n := binary.LittleEndian.Uint32(body)
 	body = body[4:]
+	if uint64(n) > uint64(len(body)/minEntry) {
+		return 0, nil, fmt.Errorf("netserver: %s response claims %d entries in %d bytes", what, n, len(body))
+	}
+	return int(n), body, nil
+}
+
+// decodeStats2 parses a stats2 payload into a name→value map.
+func decodeStats2(body []byte) (map[string]float64, error) {
+	n, body, err := entryCount(body, 2+8, "stats2")
+	if err != nil {
+		return nil, err
+	}
 	out := make(map[string]float64, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		if len(body) < 2 {
 			return nil, errors.New("netserver: truncated stats2 entry")
 		}
@@ -596,13 +545,9 @@ func decodeStats2(body []byte) (map[string]float64, error) {
 // returns it: count(4) then count × key(8). Callers send it with OpMGet
 // (the frame's key field is unused). len(keys) must be ≤ MaxMGetKeys.
 func AppendMGetRequest(dst []byte, keys []uint64) []byte {
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(keys)))
-	dst = append(dst, n[:]...)
-	var kb [8]byte
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(keys)))
 	for _, k := range keys {
-		binary.LittleEndian.PutUint64(kb[:], k)
-		dst = append(dst, kb[:]...)
+		dst = binary.LittleEndian.AppendUint64(dst, k)
 	}
 	return dst
 }
@@ -611,14 +556,13 @@ func AppendMGetRequest(dst []byte, keys []uint64) []byte {
 // found flags. Values are copied out of body, so they stay valid after the
 // caller releases the response buffer.
 func DecodeMGet(body []byte) (vals [][]byte, found []bool, err error) {
-	if len(body) < 4 {
-		return nil, nil, errors.New("netserver: short mget response")
+	n, body, err := entryCount(body, 1+4, "mget")
+	if err != nil {
+		return nil, nil, err
 	}
-	n := binary.LittleEndian.Uint32(body)
-	body = body[4:]
 	vals = make([][]byte, n)
 	found = make([]bool, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		if len(body) < 5 {
 			return nil, nil, errors.New("netserver: truncated mget entry")
 		}
@@ -639,9 +583,7 @@ func DecodeMGet(body []byte) (vals [][]byte, found []bool, err error) {
 }
 
 // MGet fetches several keys in one wire frame. Results are positional:
-// vals[i]/found[i] answer keys[i]. Against a server predating the mget op
-// the call fails with the server's status-error reply; use the cluster
-// client for transparent per-key degradation.
+// vals[i]/found[i] answer keys[i].
 func (c *Client) MGet(keys []uint64) (vals [][]byte, found []bool, err error) {
 	if len(keys) > MaxMGetKeys {
 		return nil, nil, fmt.Errorf("netserver: mget batch %d exceeds MaxMGetKeys %d", len(keys), MaxMGetKeys)
@@ -662,13 +604,17 @@ func (c *Client) Scan(start uint64, count int) ([]kvcore.KV, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(body) < 4 {
-		return nil, errors.New("netserver: short scan response")
+	return decodeScan(body)
+}
+
+// decodeScan parses a scan response payload; values are copied out of body.
+func decodeScan(body []byte) ([]kvcore.KV, error) {
+	n, body, err := entryCount(body, 8+4, "scan")
+	if err != nil {
+		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(body)
-	body = body[4:]
 	out := make([]kvcore.KV, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		if len(body) < 12 {
 			return nil, errors.New("netserver: truncated scan entry")
 		}

@@ -184,12 +184,12 @@ func TestStatsOverTCP(t *testing.T) {
 	_, cli := startServer(t, kvcore.Hash)
 	cli.Put(1, []byte("x"))
 	cli.Get(1)
-	st, err := cli.Stats()
+	m, err := cli.StatsMap()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Ops < 2 || st.Items != 1 {
-		t.Fatalf("stats = %+v", st)
+	if m["ops"] < 2 || m["items"] != 1 {
+		t.Fatalf("stats: ops=%v items=%v", m["ops"], m["items"])
 	}
 }
 

@@ -10,31 +10,43 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // PipelineClient keeps many requests in flight on one connection: sends
 // and receives run on separate goroutines and responses are matched to
 // requests by order (the protocol is strictly FIFO per connection). It is
-// the high-throughput counterpart of Client for load generation — the
-// network analog of the paper's clients keeping the server's receive ring
-// full.
+// the one client-side codec — Client drives it one request at a time — and
+// the network analog of the paper's clients keeping the server's receive
+// ring full.
+//
+// A connection ends once: by Close, or by the first transport failure
+// (write error, read error or deadline, oversized response, peer
+// half-close). After a failure the stream can no longer match responses
+// to requests, so the end is terminal: every outstanding future completes
+// with the cause and every later Send and Flush fails fast with it.
 type PipelineClient struct {
 	conn net.Conn
 	w    *bufio.Writer
 
-	sendMu     sync.Mutex
-	sendClosed bool // set under sendMu by Close: no later Send may enqueue
-	pending    chan *Future
-	readWG     sync.WaitGroup
+	sendMu  sync.Mutex
+	dead    bool // set under sendMu by the exiting read loop: no later Send may enqueue
+	pending chan *Future
+	readWG  sync.WaitGroup
 
-	closeOnce sync.Once
-	closed    chan struct{}
-	closeErr  error // conn.Close result, returned by every Close call
+	failOnce sync.Once
+	closed   chan struct{} // closed by fail, after cause and closeErr are set
+	cause    error         // why the connection ended: ErrClosed or the first transport error
+	closeErr error         // conn.Close result, returned by every Close call
 }
 
 // ErrClosed is returned by Send and Flush on a PipelineClient that has
 // been Closed: the request was never enqueued and no future exists for it.
 var ErrClosed = errors.New("netserver: pipeline client closed")
+
+// errOversized ends a connection whose peer announced a response larger
+// than any the protocol allows.
+var errOversized = errors.New("netserver: oversized response")
 
 // Future completion states, mirroring rpc.Call: pending until the reader
 // fills it in, parked while a waiter blocks on the park channel, done once
@@ -112,7 +124,11 @@ func DialPipeline(addr string, depth int) (*PipelineClient, error) {
 	if depth < 1 {
 		depth = 64
 	}
-	conn, err := net.Dial("tcp", addr)
+	return dialPipeline(addr, depth, 0)
+}
+
+func dialPipeline(addr string, depth int, dialTimeout time.Duration) (*PipelineClient, error) {
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -127,6 +143,32 @@ func DialPipeline(addr string, depth int) (*PipelineClient, error) {
 	return c, nil
 }
 
+// SetDeadline bounds every pending and future read and write on the
+// connection, like net.Conn.SetDeadline (the zero time means no bound). A
+// deadline that expires while a response is awaited or a request is being
+// written ends the connection with a net.Error whose Timeout() is true.
+func (c *PipelineClient) SetDeadline(t time.Time) error { return c.conn.SetDeadline(t) }
+
+// fail ends the connection; the first caller's err becomes the cause.
+// Closing the channel frees Sends parked on a full window, and closing the
+// socket frees a Send blocked in a write and makes the read loop exit —
+// which is what completes the outstanding futures (readerDone).
+func (c *PipelineClient) fail(err error) {
+	c.failOnce.Do(func() {
+		c.cause = err
+		c.closeErr = c.conn.Close()
+		close(c.closed)
+	})
+}
+
+// broken is the fail-fast error of an ended connection.
+func (c *PipelineClient) broken() error {
+	if c.cause == ErrClosed {
+		return ErrClosed
+	}
+	return fmt.Errorf("netserver: connection broken by earlier failure: %w", c.cause)
+}
+
 func (c *PipelineClient) readLoop() {
 	defer c.readWG.Done()
 	r := bufio.NewReader(c.conn)
@@ -135,24 +177,17 @@ func (c *PipelineClient) readLoop() {
 		select {
 		case f = <-c.pending:
 		case <-c.closed:
-			// Drain any stragglers so their waiters unblock. (A Send racing
-			// with Close may still enqueue after this drain; Close sweeps
-			// again once sendClosed guarantees no further enqueues.)
-			c.failRemaining(ErrClosed)
+			c.readerDone(nil, c.cause)
 			return
 		}
 		var hdr [5]byte
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			f.err = err
-			f.complete()
-			c.failRemaining(err)
+			c.readerDone(f, err)
 			return
 		}
 		plen := binary.LittleEndian.Uint32(hdr[1:5])
 		if plen > maxPayload {
-			f.err = errors.New("netserver: oversized response")
-			f.complete()
-			c.failRemaining(f.err)
+			c.readerDone(f, errOversized)
 			return
 		}
 		body := f.body[:0] // recycled capacity from a released future
@@ -161,9 +196,7 @@ func (c *PipelineClient) readLoop() {
 		}
 		body = body[:plen]
 		if _, err := io.ReadFull(r, body); err != nil {
-			f.err = err
-			f.complete()
-			c.failRemaining(err)
+			c.readerDone(f, err)
 			return
 		}
 		f.status = hdr[0]
@@ -178,11 +211,28 @@ func (c *PipelineClient) readLoop() {
 	}
 }
 
-func (c *PipelineClient) failRemaining(err error) {
+// readerDone is the read loop's only exit: with no reader left no response
+// can ever be matched again, so the exit ends the connection and completes
+// every future that will not be answered — cur, the one whose response was
+// being read (nil when the loop was told to stop), then everything queued.
+func (c *PipelineClient) readerDone(cur *Future, err error) {
+	c.fail(err)
+	// fail freed any Send parked on the window or blocked in a write, so
+	// sendMu comes free. A Send that had passed the dead check may enqueue
+	// one more future before releasing it; once dead is set nothing more
+	// arrives and the sweep below is final. It is set before cur completes,
+	// so a caller woken by cur already fails fast.
+	c.sendMu.Lock()
+	c.dead = true
+	c.sendMu.Unlock()
+	if cur != nil {
+		cur.err = c.cause
+		cur.complete()
+	}
 	for {
 		select {
 		case f := <-c.pending:
-			f.err = err
+			f.err = c.cause
 			f.complete()
 		default:
 			return
@@ -198,16 +248,16 @@ func (c *PipelineClient) Send(op byte, key uint64, payload []byte) (*Future, err
 	f := newFuture()
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	if c.sendClosed {
-		// Deterministic post-Close behaviour: nothing is enqueued or
-		// written, independent of bufio's sticky-error state.
+	if c.dead {
+		// Nothing is enqueued or written on an ended connection,
+		// independent of bufio's sticky-error state.
 		f.Release()
-		return nil, ErrClosed
+		return nil, c.broken()
 	}
 	select {
 	case <-c.closed:
 		f.Release() // never enqueued: no reader will ever touch it
-		return nil, ErrClosed
+		return nil, c.broken()
 	case c.pending <- f:
 	default:
 		// The in-flight window is full. Everything buffered must reach the
@@ -215,12 +265,12 @@ func (c *PipelineClient) Send(op byte, key uint64, payload []byte) (*Future, err
 		// requests the server never saw — a self-deadlock.
 		if err := c.w.Flush(); err != nil {
 			f.Release()
-			return nil, err
+			return nil, c.writeFailed(err)
 		}
 		select {
 		case <-c.closed:
 			f.Release()
-			return nil, ErrClosed
+			return nil, c.broken()
 		case c.pending <- f:
 		}
 	}
@@ -244,25 +294,23 @@ func (c *PipelineClient) Send(op byte, key uint64, payload []byte) (*Future, err
 	return f, nil
 }
 
-// writeFailed handles a transport error after the future has already been
-// enqueued to pending. The future cannot be dequeued (the reader owns the
-// channel) and must not be stranded: closing the connection makes the read
-// loop fail — it completes the enqueued future and every later one with
-// the read error — and bufio's sticky error fails all subsequent Sends
-// fast. The caller never receives the future, so nobody double-waits it.
+// writeFailed ends the connection after a transport write error and
+// returns the cause (err itself, unless the write failed because the
+// connection had already ended for an earlier reason). Requests already
+// enqueued can never reach the server; ending the connection makes the
+// read loop complete their futures. A future enqueued by the failing Send
+// is among them, and the caller never receives it, so nobody double-waits.
 func (c *PipelineClient) writeFailed(err error) error {
-	c.conn.Close()
-	return err
+	c.fail(err)
+	return c.cause
 }
 
-// Flush pushes any buffered requests to the wire. A flush error means
-// enqueued requests can never reach the server, so the connection is
-// closed to fail their futures (see writeFailed).
+// Flush pushes any buffered requests to the wire.
 func (c *PipelineClient) Flush() error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	if c.sendClosed {
-		return ErrClosed
+	if c.dead {
+		return c.broken()
 	}
 	if err := c.w.Flush(); err != nil {
 		return c.writeFailed(err)
@@ -271,25 +319,12 @@ func (c *PipelineClient) Flush() error {
 }
 
 // Close tears down the connection and fails outstanding futures with
-// ErrClosed. It is idempotent — every call returns the first call's result
-// — and strictly ordered against Send: once any Close call has returned,
-// later Sends fail fast with ErrClosed and no future is ever stranded.
+// ErrClosed. It is idempotent — every call returns the first close's
+// result — and strictly ordered against Send: once any Close call has
+// returned, the read loop has exited, later Sends fail fast and no future
+// is ever stranded.
 func (c *PipelineClient) Close() error {
-	c.closeOnce.Do(func() {
-		// Order matters: closing the channel first frees Sends parked on a
-		// full window; closing the connection frees a Send blocked in a
-		// write syscall and fails the read loop. Only then can sendMu be
-		// taken without deadlock to make the closure visible to Send.
-		close(c.closed)
-		c.closeErr = c.conn.Close()
-		c.sendMu.Lock()
-		c.sendClosed = true
-		c.sendMu.Unlock()
-		c.readWG.Wait()
-		// A Send that raced the read loop's drain may have enqueued after
-		// the drain's empty-check; sendClosed is now visible, so this final
-		// sweep completes any such straggler and nothing new can arrive.
-		c.failRemaining(ErrClosed)
-	})
+	c.fail(ErrClosed)
+	c.readWG.Wait()
 	return c.closeErr
 }

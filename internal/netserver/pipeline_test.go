@@ -2,8 +2,12 @@ package netserver
 
 import (
 	"encoding/binary"
+	"errors"
+	"io"
 	"net"
+	"strings"
 	"testing"
+	"time"
 
 	"mutps/internal/kvcore"
 )
@@ -199,3 +203,98 @@ func TestPipelineFutureRelease(t *testing.T) {
 // netListen wraps net.Listen for benchmarks (keeps the test file free of a
 // direct net import dependency in its main body).
 func netListen() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
+
+// readRequest consumes one request frame, reporting whether one arrived.
+func readRequest(conn net.Conn) bool {
+	var hdr [13]byte
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		return false
+	}
+	_, err := io.CopyN(io.Discard, conn, int64(binary.LittleEndian.Uint32(hdr[9:13])))
+	return err == nil
+}
+
+// TestPipelineReaderDeathIsTerminal is the stranded-future regression: when
+// the read loop dies — a garbled length, a read deadline, a peer that half-
+// closes — while the socket itself stays up, the connection must end there.
+// A later Send used to enqueue, reach the peer, and park its waiter forever.
+func TestPipelineReaderDeathIsTerminal(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		misbehave func(conn *net.TCPConn) // the peer's answer to the first request
+		deadline  time.Duration
+		cause     func(err error) bool
+	}{
+		{"oversized-length",
+			func(conn *net.TCPConn) { conn.Write([]byte{StatusFound, 0xff, 0xff, 0xff, 0xff}) }, 0,
+			func(err error) bool { return errors.Is(err, errOversized) }},
+		{"read-deadline", func(*net.TCPConn) {}, 50 * time.Millisecond,
+			func(err error) bool {
+				var ne net.Error
+				return errors.As(err, &ne) && ne.Timeout()
+			}},
+		{"peer-half-close", func(conn *net.TCPConn) { conn.CloseWrite() }, 0,
+			func(err error) bool { return errors.Is(err, io.EOF) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := netListen()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				if readRequest(conn) {
+					tc.misbehave(conn.(*net.TCPConn))
+				}
+				// Keep reading, so nothing but the client's own bookkeeping
+				// can fail the second request.
+				for readRequest(conn) {
+				}
+			}()
+			pc, err := DialPipeline(ln.Addr().String(), 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pc.Close()
+			if tc.deadline > 0 {
+				pc.SetDeadline(time.Now().Add(tc.deadline))
+			}
+			first, err := pc.Send(OpGet, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pc.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := first.Wait(); !tc.cause(err) {
+				t.Fatalf("first request: err = %v, want the transport failure", err)
+			}
+
+			failed := make(chan error, 1)
+			go func() {
+				f, err := pc.Send(OpGet, 2, nil)
+				if err == nil {
+					pc.Flush()
+					_, _, err = f.Wait()
+				}
+				failed <- err
+			}()
+			select {
+			case err := <-failed:
+				if !tc.cause(err) || !strings.Contains(err.Error(), "broken") {
+					t.Fatalf("second request: err = %v, want a broken-connection error wrapping the cause", err)
+				}
+			case <-time.After(100 * time.Millisecond):
+				t.Fatal("second request after reader death neither failed nor completed")
+			}
+			if err := pc.Flush(); !tc.cause(err) {
+				t.Fatalf("Flush after reader death: %v, want the cause", err)
+			}
+		})
+	}
+}

@@ -42,14 +42,14 @@ type expect struct {
 
 	status byte
 	body   []byte // nil with structural=false means "must be empty"
-	// structural responses (stats, stats2) are checked for shape, not bytes
+	// structural responses (stats2) are checked for shape, not bytes
 	structural bool
 }
 
 // TestPipelinedFIFOOrderingMixed is the response-ordering gate for the
 // pipelined executor: 1000 iterations of a shuffled mixed burst — hit
 // gets, miss gets, puts, found/missing deletes, scans (a barrier op),
-// stats/stats2 (barriers), and unknown-op errors — over one connection,
+// stats2 (a barrier), and unknown-op errors — over one connection,
 // asserting every response byte-for-byte at its request's position.
 func TestPipelinedFIFOOrderingMixed(t *testing.T) {
 	srv, store := startWindowServer(t, kvcore.Tree, 16)
@@ -102,7 +102,7 @@ func TestPipelinedFIFOOrderingMixed(t *testing.T) {
 			{op: OpDelete, key: 5_000_000 + u, status: StatusFound},
 			{op: OpDelete, key: 6_000_000 + u, status: StatusNotFound},
 			{op: OpScan, key: 0, payload: scanCount, status: StatusFound, body: scanBody},
-			{op: OpStats, key: 0, status: StatusFound, structural: true},
+			{op: 4, key: 0, status: StatusError}, // the reserved hole
 			{op: OpStats2, key: 0, status: StatusFound, structural: true},
 			{op: 99, key: 0, status: StatusError},
 			{op: OpGet, key: (sk + 1) % 64, status: StatusFound, body: stable[(sk+1)%64]},
@@ -138,11 +138,7 @@ func TestPipelinedFIFOOrderingMixed(t *testing.T) {
 					i, j, req.op, req.key, st, req.status)
 			}
 			switch {
-			case req.structural && req.op == OpStats:
-				if len(body) != 40 {
-					t.Fatalf("iter %d pos %d: stats body %d bytes, want 40", i, j, len(body))
-				}
-			case req.structural && req.op == OpStats2:
+			case req.structural:
 				if _, derr := decodeStats2(body); derr != nil {
 					t.Fatalf("iter %d pos %d: stats2 undecodable: %v", i, j, derr)
 				}

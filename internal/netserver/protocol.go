@@ -71,7 +71,7 @@ var submitHook atomic.Pointer[func(op byte, key uint64) error]
 type netOp struct {
 	op         byte
 	status     byte // pre-resolved response status when call is nil
-	barrier    bool // execute inline at retire time (Scan/Stats/Stats2)
+	barrier    bool // execute inline at retire time (Scan/Stats2)
 	closeAfter bool // fatal protocol error: retire this, then drop the conn
 	key        uint64
 	scanCount  uint32
@@ -226,7 +226,7 @@ func (x *protoExec) submit(e *netOp, payload []byte) {
 		}
 		e.scanCount = count
 		e.barrier = true
-	case OpStats, OpStats2:
+	case OpStats2:
 		e.barrier = true
 	case OpMGet:
 		x.submitMGet(e, payload)
@@ -286,17 +286,22 @@ func (x *protoExec) submitMGet(e *netOp, payload []byte) {
 	}
 }
 
-// failSubmit pre-resolves a slot whose request never entered the store:
-// overload shedding becomes the retryable StatusBacklogged (in request
-// order, exactly like the synchronous path), everything else a
-// StatusError carrying the message.
+// errStatus maps a store error onto the wire: overload shedding becomes
+// the retryable StatusBacklogged, everything else (including rpc.ErrClosed
+// during shutdown) a StatusError carrying the message. Error paths may
+// allocate; the hot paths never reach here.
+func errStatus(err error) (status byte, msg []byte) {
+	if errors.Is(err, rpc.ErrBacklogged) {
+		return StatusBacklogged, nil
+	}
+	return StatusError, []byte(err.Error())
+}
+
+// failSubmit pre-resolves a slot whose request never entered the store,
+// in request order.
 func (x *protoExec) failSubmit(e *netOp, err error) {
 	e.call = nil
-	if errors.Is(err, rpc.ErrBacklogged) {
-		e.status, e.msg = StatusBacklogged, nil
-		return
-	}
-	e.status, e.msg = StatusError, []byte(err.Error())
+	e.status, e.msg = errStatus(err)
 }
 
 // retire resolves one window slot into its wire response: wait out the
@@ -312,11 +317,7 @@ func (x *protoExec) retire(e *netOp, w respWriter) {
 		c.Wait()
 		switch {
 		case c.Err != nil:
-			if errors.Is(c.Err, rpc.ErrBacklogged) {
-				w.writeOut(StatusBacklogged, nil)
-			} else {
-				w.writeOut(StatusError, []byte(c.Err.Error()))
-			}
+			w.writeOut(errStatus(c.Err))
 		case e.op == OpGet:
 			switch {
 			case c.Found:
@@ -407,20 +408,13 @@ func (x *protoExec) retireMGet(e *netOp, w respWriter) {
 	body := append(x.body[:0], 0, 0, 0, 0)
 	binary.LittleEndian.PutUint32(body, uint32(len(e.mcalls)))
 	failed := e.mgetErr
-	var hdr [5]byte
 	for i, c := range e.mcalls {
 		c.Wait()
 		if c.Err != nil && failed == nil {
 			failed = c.Err
 		}
 		if failed == nil {
-			hdr[0] = 0
-			if c.Found {
-				hdr[0] = 1
-			}
-			binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(c.Value)))
-			body = append(body, hdr[:]...)
-			body = append(body, c.Value...)
+			body = appendMGetEntry(body, c.Found, c.Value)
 		}
 		// Keep a destination buffer the store had to grow, as retire does
 		// for single gets.
@@ -437,17 +431,13 @@ func (x *protoExec) retireMGet(e *netOp, w respWriter) {
 	e.mgetErr = nil
 	x.body = body
 	if failed != nil {
-		if errors.Is(failed, rpc.ErrBacklogged) {
-			w.writeOut(StatusBacklogged, nil)
-		} else {
-			w.writeOut(StatusError, []byte(failed.Error()))
-		}
+		w.writeOut(errStatus(failed))
 		return
 	}
 	w.writeOut(StatusFound, body)
 }
 
-// retireBarrier executes a Scan/Stats/Stats2 inline. Reaching here means
+// retireBarrier executes a Scan/Stats2 inline. Reaching here means
 // the FIFO has retired every earlier response — the barrier semantics —
 // so the op observes all prior writes on this connection; responses to
 // already-buffered bursts are flushed first so a slow scan doesn't hold
@@ -455,36 +445,18 @@ func (x *protoExec) retireMGet(e *netOp, w respWriter) {
 func (x *protoExec) retireBarrier(e *netOp, w respWriter) {
 	w.flushBarrier()
 	switch e.op {
-	case OpStats:
-		st := x.s.store.Stats()
-		var body [40]byte
-		binary.LittleEndian.PutUint64(body[0:], st.Ops)
-		binary.LittleEndian.PutUint64(body[8:], st.CRHits)
-		binary.LittleEndian.PutUint64(body[16:], st.Forwarded)
-		binary.LittleEndian.PutUint64(body[24:], uint64(st.Items))
-		binary.LittleEndian.PutUint64(body[32:], uint64(st.HotSize))
-		w.writeOut(StatusFound, body[:])
 	case OpStats2:
 		x.body = x.s.appendStats2(x.body[:0])
 		w.writeOut(StatusFound, x.body)
 	case OpScan:
 		kvs, err := x.s.store.Scan(e.key, int(e.scanCount))
 		if err != nil {
-			if errors.Is(err, rpc.ErrBacklogged) {
-				w.writeOut(StatusBacklogged, nil)
-			} else {
-				w.writeOut(StatusError, []byte(err.Error()))
-			}
+			w.writeOut(errStatus(err))
 			return
 		}
-		body := append(x.body[:0], 0, 0, 0, 0)
-		binary.LittleEndian.PutUint32(body, uint32(len(kvs)))
-		var tmp [12]byte
+		body := binary.LittleEndian.AppendUint32(x.body[:0], uint32(len(kvs)))
 		for _, kv := range kvs {
-			binary.LittleEndian.PutUint64(tmp[0:8], kv.Key)
-			binary.LittleEndian.PutUint32(tmp[8:12], uint32(len(kv.Value)))
-			body = append(body, tmp[:]...)
-			body = append(body, kv.Value...)
+			body = appendScanEntry(body, kv.Key, kv.Value)
 		}
 		x.body = body
 		w.writeOut(StatusFound, body)

@@ -1,18 +1,13 @@
 package netserver
 
 import (
-	"bufio"
-	"encoding/binary"
-	"io"
-	"net"
 	"testing"
 
 	"mutps/internal/kvcore"
 )
 
-// TestStatsMapAgainstNewServer checks that the versioned stats payload
-// carries the legacy counters under their stable names plus the metric
-// registry's samples, and that both stats ops agree on the shared fields.
+// TestStatsMapAgainstNewServer checks that the stats2 payload carries the
+// five stable counters plus the metric registry's samples.
 func TestStatsMapAgainstNewServer(t *testing.T) {
 	_, cli := startServer(t, kvcore.Hash)
 	for i := uint64(0); i < 100; i++ {
@@ -30,9 +25,9 @@ func TestStatsMapAgainstNewServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"ops", "cr_hits", "forwarded", "items", "hot_size"} {
+	for _, k := range stableStatNames {
 		if _, ok := m[k]; !ok {
-			t.Fatalf("stats2 missing legacy key %q; got %d keys", k, len(m))
+			t.Fatalf("stats2 missing stable key %q; got %d keys", k, len(m))
 		}
 	}
 	if m["ops"] < 200 {
@@ -54,94 +49,9 @@ func TestStatsMapAgainstNewServer(t *testing.T) {
 	if m[`mutps_net_connections`] < 1 {
 		t.Fatalf("connections gauge = %v, want >= 1", m[`mutps_net_connections`])
 	}
-
-	// The legacy frame must agree with the named payload.
-	st, err := cli.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if float64(st.Items) != m["items"] || float64(st.HotSize) != m["hot_size"] {
-		t.Fatalf("op4/op5 disagree: legacy %+v vs map items=%v hot=%v",
-			st, m["items"], m["hot_size"])
-	}
 }
 
-// oldServer speaks the pre-stats2 protocol: it answers op 4 with the fixed
-// 40-byte frame and rejects anything newer with a status-error response,
-// exactly like a server built before the op existed.
-func oldServer(t *testing.T, ln net.Listener) {
-	t.Helper()
-	conn, err := ln.Accept()
-	if err != nil {
-		return
-	}
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	var hdr [13]byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return
-		}
-		plen := binary.LittleEndian.Uint32(hdr[9:13])
-		if _, err := io.CopyN(io.Discard, r, int64(plen)); err != nil {
-			return
-		}
-		switch hdr[0] {
-		case OpStats:
-			var body [40]byte
-			binary.LittleEndian.PutUint64(body[0:], 777) // ops
-			binary.LittleEndian.PutUint64(body[24:], 42) // items
-			writeResp(w, StatusFound, body[:])
-		default:
-			writeResp(w, StatusError, []byte("unknown op"))
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-// TestStatsMapFallsBackToLegacyServer proves a new client survives an old
-// server: the stats2 probe is rejected, the connection stays usable, and
-// the map is synthesized from the legacy frame.
-func TestStatsMapFallsBackToLegacyServer(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go oldServer(t, ln)
-
-	cli, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	m, err := cli.StatsMap()
-	if err != nil {
-		t.Fatalf("fallback failed: %v", err)
-	}
-	if len(m) != 5 {
-		t.Fatalf("legacy fallback map has %d keys, want 5", len(m))
-	}
-	if m["ops"] != 777 || m["items"] != 42 {
-		t.Fatalf("legacy values not carried over: %v", m)
-	}
-
-	// The rejected probe must not have desynchronized the stream.
-	st, err := cli.Stats()
-	if err != nil {
-		t.Fatalf("legacy stats after fallback: %v", err)
-	}
-	if st.Ops != 777 {
-		t.Fatalf("ops = %d, want 777", st.Ops)
-	}
-}
-
-// TestStats2Roundtrip sanity-checks the payload codec on adversarial
-// inputs.
+// TestStats2Decode sanity-checks the payload codec on adversarial inputs.
 func TestStats2Decode(t *testing.T) {
 	if _, err := decodeStats2(nil); err == nil {
 		t.Fatal("nil payload must fail")

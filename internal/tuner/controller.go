@@ -103,10 +103,6 @@ func NewController(sys System, cfg ControllerConfig) *Controller {
 	return &Controller{sys: sys, cfg: cfg, watcher: w}
 }
 
-// Watcher exposes the trigger plumbing (tests adjust monitor knobs
-// through it).
-func (c *Controller) Watcher() *Watcher { return c.watcher }
-
 // Counters reports loop activity: windows sampled, triggers fired
 // (including suppressed ones), searches run, and searches whose winner
 // was rejected for insufficient gain.
@@ -244,14 +240,7 @@ func (c *Controller) retune(now time.Time) Result {
 		})
 		// RecordRetune would log a second entry; still reset the feedback
 		// loop so post-search windows start a fresh baseline.
-		c.watcher.Monitor.Reset()
-		c.watcher.Sampler.Reset()
-		if c.watcher.LatMonitor != nil {
-			c.watcher.LatMonitor.Reset()
-		}
-		if c.watcher.LatSampler != nil {
-			c.watcher.LatSampler.Reset()
-		}
+		c.watcher.reset()
 	} else {
 		c.watcher.RecordRetune(old.MRThreads, old.CacheItems, out)
 	}

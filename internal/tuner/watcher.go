@@ -78,8 +78,7 @@ func (w *Watcher) Tick() (rate float64, triggered bool) {
 }
 
 // RecordRetune logs the outcome of a tuning run into the trace and resets
-// the monitor and sampler so the next windows reflect the new
-// configuration, not the transient rates observed during probing.
+// the feedback loop (see reset).
 func (w *Watcher) RecordRetune(oldSplit, oldCache int, res Result) {
 	if w.Trace != nil {
 		w.Trace.Record(obs.Decision{
@@ -91,6 +90,12 @@ func (w *Watcher) RecordRetune(oldSplit, oldCache int, res Result) {
 			Probes: res.Probes,
 		})
 	}
+	w.reset()
+}
+
+// reset restarts the monitors and samplers, so the next windows build a
+// fresh baseline instead of inheriting the rates observed during probing.
+func (w *Watcher) reset() {
 	w.Monitor.Reset()
 	w.Sampler.Reset()
 	if w.LatMonitor != nil {
