@@ -25,15 +25,14 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids")
 	sweepPriors := flag.String("sweep-priors", "",
 		"run the simkv config sweeper over the standard workload grid and write the per-signature best-known configs to this JSON file (feed to mutps-server -tuner-priors)")
-	sweepWindow := flag.Int("sweep-window", 20000, "simulated requests per sweep probe window")
-	sweepSeed := flag.Uint64("sweep-seed", 1, "workload seed for the sweep")
 	flag.Parse()
 
 	if *sweepPriors != "" {
 		start := time.Now()
 		grid := simkv.DefaultSweepGrid()
-		fmt.Printf("sweeping %d workload points (window %d requests)...\n", len(grid), *sweepWindow)
-		priors := simkv.SweepPriors(simkv.SweepParams(), grid, *sweepWindow, *sweepSeed)
+		fmt.Printf("sweeping %d workload points...\n", len(grid))
+		// 20 000 simulated requests per probe window, workload seed 1.
+		priors := simkv.SweepPriors(simkv.SweepParams(), grid, 20000, 1)
 		if err := priors.Save(*sweepPriors); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -56,17 +56,9 @@ func main() {
 	eventLoops := flag.Int("event-loops", 0,
 		"epoll transport: number of event-loop shards, each one epoll instance + SO_REUSEPORT listener + completer goroutine (0 = GOMAXPROCS, capped at 32)")
 	autotune := flag.Bool("autotune", false,
-		"run the closed-loop auto-tuner: sample throughput/latency, and on a sustained shift re-search the thread split and hot-set size online, without pausing traffic")
-	autotuneWindow := flag.Duration("autotune-window", 10*time.Millisecond,
-		"measurement window per search probe (the paper's 10ms feedback monitor)")
-	autotuneInterval := flag.Duration("autotune-interval", 100*time.Millisecond,
-		"sampling cadence of the trigger monitors")
-	autotuneCooldown := flag.Duration("autotune-cooldown", 3*time.Second,
-		"minimum time between retunes (anti-oscillation hysteresis)")
-	autotuneMinGain := flag.Float64("autotune-min-gain", 0.05,
-		"minimum relative improvement a search winner must show over the incumbent; below it the tuner reverts")
+		"run the closed-loop auto-tuner: sample throughput and mean latency every 100ms and, on the first window more than 25% off the moving baseline, re-search the thread split and hot-set size online (10ms probes, at most one search per 3s, winner kept only above 5% gain), without pausing traffic")
 	tunerPriors := flag.String("tuner-priors", "",
-		"per-workload-signature best-known-config JSON (seed offline with 'mutps-bench -sweep-priors'); loaded at startup, rewritten with online refinements at shutdown (empty = start cold)")
+		"per-workload-signature best-known-config JSON (seed offline with 'mutps-bench -sweep-priors', which describes an 8-worker simulated machine: an entry is consulted only when it fits this store's workers and hot-set bound); loaded at startup, rewritten with online refinements at shutdown (empty = start cold)")
 	flag.Parse()
 
 	budget, err := parseSize(*memBudget)
@@ -149,8 +141,8 @@ func main() {
 				log.Fatalf("-tuner-priors: %v", err)
 			}
 		}
-		tn := &kvcore.Tunable{S: store, Window: *autotuneWindow}
-		// Exact-mean latency feed: sum the _sum/_count series of every per-op
+		tn := &kvcore.Tunable{S: store}
+		// Exact-mean latency feed: the _sum/_count series of every per-op
 		// network latency histogram (never interpolated bucket quantiles).
 		var hists []*obs.Histogram
 		for _, l := range []string{`op="get"`, `op="put"`, `op="delete"`, `op="scan"`, `op="mget"`} {
@@ -158,29 +150,15 @@ func main() {
 				hists = append(hists, h)
 			}
 		}
-		ccfg := tuner.ControllerConfig{
-			Interval:  *autotuneInterval,
-			Cooldown:  *autotuneCooldown,
-			MinGain:   *autotuneMinGain,
+		ctl = tuner.NewController(tn, tuner.ControllerConfig{
 			Rate:      store.Ops,
+			Latency:   obs.NewHistogramMeanSampler(hists...),
 			Priors:    priors,
 			Signature: tn.Signature,
 			Trace:     store.Trace(),
-		}
-		if len(hists) > 0 {
-			ccfg.LatFeed = func() (sum, count uint64) {
-				for _, h := range hists {
-					snap := h.Snapshot()
-					sum += snap.Sum
-					count += snap.Count
-				}
-				return sum, count
-			}
-		}
-		ctl = tuner.NewController(tn, ccfg)
+		})
 		ctl.Start()
-		log.Printf("autotune: on (window=%v interval=%v cooldown=%v min-gain=%.0f%%)",
-			*autotuneWindow, *autotuneInterval, *autotuneCooldown, *autotuneMinGain*100)
+		log.Print("autotune: on")
 	}
 
 	if *metricsAddr != "" {

@@ -67,7 +67,7 @@ func main() {
 	fmt.Printf("before tuning: %d/%d split, %.0f ops/s\n", nCR, nMR, before)
 
 	tn := &kvcore.Tunable{S: store, Window: 50 * time.Millisecond, MaxCache: 4096, CacheStep: 1024}
-	res := tuner.Optimize(tn)
+	res := tuner.NewController(tn, tuner.ControllerConfig{Rate: store.Ops, Trace: store.Trace()}).Retune()
 	nCR, nMR = store.Split()
 	fmt.Printf("tuned: %d/%d split, hot target %d (%d probes, score %.0f ops/s)\n",
 		nCR, nMR, store.HotItems(), res.Probes, res.Score)

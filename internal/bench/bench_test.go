@@ -5,6 +5,8 @@ import (
 	"math"
 	"os"
 	"testing"
+
+	"mutps/internal/tuner"
 )
 
 // The shape assertions here are the per-experiment acceptance criteria
@@ -336,6 +338,34 @@ func TestTunerAblationShapes(t *testing.T) {
 	if r.TrisectScore < r.ExhaustScore*0.85 {
 		t.Errorf("trisection score %.1f too far below exhaustive %.1f",
 			r.TrisectScore, r.ExhaustScore)
+	}
+}
+
+// landscape models the paper's search space for the reference comparison
+// below: throughput unimodal in the thread split and in MR ways, with a
+// cache-size interaction that shifts the ideal split.
+type landscape struct{}
+
+func (landscape) Bounds() (int, int, int, int) { return 28, 12, 10000, 1000 }
+
+func (landscape) Measure(c tuner.Config) float64 {
+	idealMR := 20.0 - 8.0*float64(c.CacheItems)/10000.0 // more cache → fewer MR threads
+	split := -0.5 * math.Pow(float64(c.MRThreads)-idealMR, 2)
+	cache := -math.Abs(float64(c.CacheItems)-6000.0) / 1000.0
+	ways := -0.3 * math.Pow(float64(c.MRWays)-9, 2)
+	return 100 + split + cache + ways
+}
+
+// TestOptimizeMatchesExhaustiveButCheaper: the exhaustive search is the
+// reference the trisecting one is held to — same quality, fewer probes.
+func TestOptimizeMatchesExhaustiveButCheaper(t *testing.T) {
+	r1 := tuner.Optimize(landscape{})
+	r2 := optimizeExhaustive(landscape{})
+	if math.Abs(r1.Score-r2.Score) > 0.5 {
+		t.Fatalf("trisection score %.2f vs exhaustive %.2f", r1.Score, r2.Score)
+	}
+	if r1.Probes >= r2.Probes {
+		t.Fatalf("trisection probes %d not cheaper than exhaustive %d", r1.Probes, r2.Probes)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"mutps/internal/benchfmt"
 	"mutps/internal/kvcore"
 	"mutps/internal/scenario"
-	"mutps/internal/simkv"
 	"mutps/internal/tuner"
 	"mutps/internal/workload"
 )
@@ -131,11 +130,11 @@ func TestScenarioMatrixSmoke(t *testing.T) {
 // TestScenarioSizeShiftRecovery is the Fig 14 harness: the size-shift
 // scenario runs twice over identical stores — once frozen at the
 // configuration tuned for the pre-shift workload (the static baseline),
-// once with the closed-loop controller live (priors seeded from the
-// simkv sweep, a retune forced at the phase boundary on top of the
-// natural triggers). It reports the post-shift throughput of both runs
-// and the tuned run's recovery time: the first post-shift window at
-// ≥90% of the tuned run's own post-shift steady state.
+// once with the closed-loop controller live (a prior table that starts
+// empty and is refined online, a retune forced at the phase boundary on
+// top of the natural triggers). It reports the post-shift throughput of
+// both runs and the tuned run's recovery time: the first post-shift
+// window at ≥90% of the tuned run's own post-shift steady state.
 //
 // Absolute margins are machine-dependent (CI runs this on one core), so
 // the test asserts mechanism — retunes happened online, no downtime, a
@@ -144,11 +143,11 @@ func TestScenarioSizeShiftRecovery(t *testing.T) {
 	sc := shrink(t, "size-shift", 0.25, 8192) // 3s phases -> 750ms
 	window := 75 * time.Millisecond
 
-	// Offline prior sweep over the two regimes this scenario traverses.
-	priors := simkv.SweepPriors(simkv.SweepParams(), []simkv.SweepPoint{
-		{Name: "ycsb-a-big", Mix: workload.MixYCSBA, Theta: 0.99, ValueSize: 512},
-		{Name: "ycsb-a-small", Mix: workload.MixYCSBA, Theta: 0.99, ValueSize: 8},
-	}, 2000, 17)
+	// No simkv seed: the sweep describes an 8-worker simulated machine with
+	// a 10 000-item cache bound, and both entries it produced for this
+	// scenario's regimes ({4000, 2, 9}, {3000, 3, 7}) lie outside this
+	// store's MaxCache 1024 — the controller would skip them.
+	priors := tuner.NewPriors()
 
 	run := func(tuned bool) ([]benchfmt.Record, uint64) {
 		s := openScenarioStore(t, sc)

@@ -1,7 +1,6 @@
 package kvcore
 
 import (
-	"sync/atomic"
 	"time"
 
 	"mutps/internal/obs"
@@ -13,9 +12,8 @@ import (
 // request processing) and observes the op counter over a wall-clock window
 // — the paper's 10 ms feedback monitor.
 //
-// MRWays is accepted and recorded but has no effect on the real store: Go
-// cannot program Intel CAT. (The simulated system honours it; see
-// internal/simkv.Tunable.)
+// MRWays is ignored: Go cannot program Intel CAT, so Bounds exposes zero
+// ways. (The simulated system honours it; see internal/simkv.Tunable.)
 type Tunable struct {
 	S *Store
 	// Window is the monitoring interval (default 10ms, the paper's value).
@@ -24,12 +22,6 @@ type Tunable struct {
 	MaxCache int
 	// CacheStep is the linear-probe step (default MaxCache/8).
 	CacheStep int
-
-	// lastWays is atomic: the controller goroutine records it in Apply
-	// while observers (bench Extra hooks, stats scrapes) read it through
-	// Current concurrently.
-	lastWays atomic.Int32
-	sampler  *obs.WindowSampler
 
 	// Windowed workload-signature state: deltas since the previous
 	// Signature call classify *recent* traffic, not the lifetime mix.
@@ -68,17 +60,12 @@ func (t *Tunable) Apply(c tuner.Config) {
 	t.S.SetSplit(nCR) //nolint:errcheck // closed-store errors only; probing a closing store is moot
 	t.S.SetHotItems(c.CacheItems)
 	t.S.RefreshHotSet()
-	t.lastWays.Store(int32(c.MRWays))
 }
 
 // Current implements tuner.System.
 func (t *Tunable) Current() tuner.Config {
 	_, nMR := t.S.Split()
-	return tuner.Config{
-		CacheItems: t.S.HotItems(),
-		MRThreads:  nMR,
-		MRWays:     int(t.lastWays.Load()),
-	}
+	return tuner.Config{CacheItems: t.S.HotItems(), MRThreads: nMR}
 }
 
 // Measure implements tuner.Reconfigurable.
@@ -89,12 +76,9 @@ func (t *Tunable) Measure(c tuner.Config) float64 {
 	if w == 0 {
 		w = 10 * time.Millisecond
 	}
-	if t.sampler == nil {
-		t.sampler = obs.NewWindowSampler(t.S.Ops)
-	}
-	t.sampler.Reset()
+	s := obs.NewWindowSampler(t.S.Ops)
 	time.Sleep(w)
-	return t.sampler.Rate()
+	return s.Rate()
 }
 
 // Signature classifies the traffic observed since the previous Signature

@@ -57,7 +57,13 @@ const (
 	futDone
 )
 
-// futWaitSpins is the Wait spin budget before parking.
+// futWaitSpins is the Wait spin budget before parking. Measured against
+// check-then-park (no spin) with the benchmark, 10 alternating pairs,
+// medians (EXPERIMENTS.md PR 21): parking at once wins hot_get 145k →
+// 170k ops/s, p50 152 → 104 µs, and paced_mix p50 243 → 209 µs, both
+// 10/10 pairs, but loses scan_tree p50 124 → 170 µs (0/10) and
+// uniform_mix p50 177 → 191 µs (1/10). The scan loss keeps the spin until
+// a change that removes it is judged as a perf claim of its own.
 const futWaitSpins = 128
 
 // Future is a pending pipelined response. Futures are pooled: Send draws

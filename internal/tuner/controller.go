@@ -29,43 +29,51 @@ type ControllerConfig struct {
 	// threshold.
 	Interval time.Duration
 	// Cooldown is the minimum time between retunes (default 3s). Together
-	// with MinGain it is the anti-oscillation guard: a trigger during
+	// with minGain it is the anti-oscillation guard: a trigger during
 	// cooldown is suppressed (and traced), so a noisy boundary can fire at
 	// most once per cooldown window.
 	Cooldown time.Duration
-	// MinGain is the minimum relative improvement over the incumbent
-	// configuration required to keep the search's winner (default 0.05 =
-	// 5%). Below it the controller reverts — a noisy probe window must not
-	// move a well-tuned system.
-	MinGain float64
-	// Threshold overrides the trigger monitors' relative deviation
-	// (default Monitor's 0.25).
-	Threshold float64
 	// Rate reads the monotonic completed-op counter (required).
 	Rate func() uint64
-	// LatFeed optionally supplies a (sum, count) latency feed — e.g. the
-	// netserver's per-op histograms — enabling the mean-latency trigger.
-	LatFeed func() (sum, count uint64)
+	// Latency optionally enables the second trigger channel over mean
+	// latency. The mean is the exact _sum/_count delta of a histogram feed,
+	// not an interpolated quantile: the paper's controller consumes a mean,
+	// and log₂-bucket interpolation can be off by the bucket width — enough
+	// to swallow or fabricate a 25% shift. Latency catches workload changes
+	// the throughput channel misses under admission-limited load (diurnal
+	// ramps, value-size shifts at a fixed offered rate).
+	Latency *obs.MeanSampler
 	// Priors seeds and accumulates per-signature best-known configs
 	// (optional).
 	Priors *Priors
 	// Signature classifies the current workload for the prior table
 	// (required if Priors is set).
 	Signature func() Signature
-	// Trace receives trigger/suppress/retune/revert decisions (optional).
+	// Trace receives trigger/lat-trigger/suppress/retune/revert decisions
+	// (optional).
 	Trace *obs.DecisionTrace
 }
+
+// minGain is the minimum relative improvement over the incumbent
+// configuration required to keep a search's winner. Below it the
+// controller reverts — a noisy probe window must not move a well-tuned
+// system.
+const minGain = 0.05
 
 // Controller runs the paper's closed tuning loop against a live system:
 // sample → trigger → search → apply → verify. Traffic keeps flowing
 // throughout — Measure probes reconfigure the running system and read
-// the op counter, they never pause it.
+// the op counter, they never pause it. It owns the whole feedback state:
+// both trigger channels, the cooldown/min-gain verdict, the priors gate
+// and every decision-trace entry the tuner writes.
 type Controller struct {
-	sys     System
-	cfg     ControllerConfig
-	watcher *Watcher
+	sys System
+	cfg ControllerConfig
 
 	mu         sync.Mutex // serializes Tick/Retune (the loop is single-threaded; Stop/tests may race)
+	rate       *obs.WindowSampler
+	rateMon    Monitor
+	latMon     Monitor // fed only when cfg.Latency is set
 	lastRetune time.Time
 
 	ticks    atomic.Uint64
@@ -87,20 +95,7 @@ func NewController(sys System, cfg ControllerConfig) *Controller {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 3 * time.Second
 	}
-	if cfg.MinGain <= 0 {
-		cfg.MinGain = 0.05
-	}
-	w := NewWatcher(cfg.Rate, cfg.Trace)
-	if cfg.Threshold > 0 {
-		w.Monitor.Threshold = cfg.Threshold
-	}
-	if cfg.LatFeed != nil {
-		w.WatchLatency(obs.NewMeanSampler(cfg.LatFeed))
-		if cfg.Threshold > 0 {
-			w.LatMonitor.Threshold = cfg.Threshold
-		}
-	}
-	return &Controller{sys: sys, cfg: cfg, watcher: w}
+	return &Controller{sys: sys, cfg: cfg, rate: obs.NewWindowSampler(cfg.Rate)}
 }
 
 // Counters reports loop activity: windows sampled, triggers fired
@@ -141,15 +136,30 @@ func (c *Controller) Stop() {
 }
 
 // Tick runs one loop iteration at the given time: close the sampling
-// window, and — on a trigger outside the cooldown — run a retune. It
-// returns whether a retune ran, so harnesses can annotate their
-// measurement stream.
+// window on both channels and — on a trigger outside the cooldown — run a
+// retune. A triggering tick leaves exactly one trace entry: "trigger"
+// (throughput shift), "lat-trigger" (mean-latency shift at a steady rate;
+// Score carries the observed mean in the histogram's unit) or, inside the
+// cooldown, "suppress". A trigger that turns out to be the load stopping
+// (the incumbent measures 0 ops/s) adds one "suppress" instead of a
+// search. It returns whether a search ran, so harnesses can annotate
+// their measurement stream.
 func (c *Controller) Tick(now time.Time) (retuned bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ticks.Add(1)
-	_, triggered := c.watcher.Tick()
-	if !triggered {
+	d := obs.Decision{Rate: c.rate.Rate(), OldSplit: -1, NewSplit: -1, OldCache: -1, NewCache: -1}
+	if c.rateMon.Observe(d.Rate) {
+		d.Event = "trigger"
+	}
+	if c.cfg.Latency != nil {
+		// An empty window (no requests) has no mean; it is skipped, not fed
+		// as zero.
+		if mean, ok := c.cfg.Latency.Mean(); ok && c.latMon.Observe(mean) && d.Event == "" {
+			d.Event, d.Score = "lat-trigger", mean
+		}
+	}
+	if d.Event == "" {
 		return false
 	}
 	c.triggers.Add(1)
@@ -158,92 +168,123 @@ func (c *Controller) Tick(now time.Time) (retuned bool) {
 		// new baseline settle instead of chasing the transient. The monitor
 		// already rebaselined at the shifted level, so a persistent shift
 		// will re-fire after the cooldown.
-		if c.cfg.Trace != nil {
-			c.cfg.Trace.Record(obs.Decision{
-				Event:    "suppress",
-				OldSplit: -1, NewSplit: -1,
-				OldCache: -1, NewCache: -1,
-			})
-		}
+		d.Event = "suppress"
+		c.record(d)
 		return false
 	}
-	c.retune(now)
+	c.record(d)
+	// Baseline the incumbent under the *current* load, so the minGain
+	// comparison is apples-to-apples (the pre-shift throughput is stale).
+	old := c.sys.Current()
+	oldScore := c.sys.Measure(old)
+	if oldScore == 0 {
+		// The load did not shift, it stopped. Every probe would measure 0,
+		// so a search would only fire a burst of reconfigurations at an idle
+		// system and learn nothing. No cooldown starts: the monitor rebased
+		// at zero and re-warms when traffic returns.
+		d.Event, d.Probes = "suppress", 1
+		c.record(d)
+		return false
+	}
+	c.retune(now, old, oldScore)
 	return true
 }
 
 // Retune forces a search outside the trigger path (operator action,
-// startup seeding). It honours MinGain but not the cooldown.
+// startup seeding). It honours minGain but not the cooldown, and it
+// searches even when the system is idle.
 func (c *Controller) Retune() Result {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.retune(time.Now())
+	old := c.sys.Current()
+	return c.retune(time.Now(), old, c.sys.Measure(old))
 }
 
-// retune runs the search and applies the winner — or reverts. Caller
-// holds c.mu.
-func (c *Controller) retune(now time.Time) Result {
+// retune searches from the baselined incumbent and applies the winner —
+// or reverts — leaving one "retune" or "revert" trace entry. Caller holds
+// c.mu.
+func (c *Controller) retune(now time.Time, old Config, oldScore float64) Result {
+	threads, ways, maxCache, _ := c.sys.Bounds()
 	c.retunes.Add(1)
-	old := c.sys.Current()
-
-	// Baseline the incumbent under the *current* load, so the MinGain
-	// comparison is apples-to-apples (the pre-shift throughput is stale).
-	oldScore := c.sys.Measure(old)
-	probes := 1
-
 	best, bestScore := old, oldScore
+	probes := 1 // the baseline
 
-	// Prior first: a single probe that usually lands near the optimum.
+	// Prior first: a single probe that usually lands near the optimum. A
+	// prior learned on another machine shape (the simkv sweep counts MR
+	// threads out of 8 simulated workers and grants LLC ways the real
+	// store cannot program) is consulted only when it fits this system's
+	// bounds: probing it would measure whatever Apply clamps it to.
 	var sig Signature
-	haveSig := false
-	if c.cfg.Priors != nil && c.cfg.Signature != nil {
+	haveSig := c.cfg.Priors != nil && c.cfg.Signature != nil
+	if haveSig {
 		sig = c.cfg.Signature()
-		haveSig = true
-		if pr, ok := c.cfg.Priors.Lookup(sig); ok && pr.Config != old {
-			if s := c.sys.Measure(pr.Config); s > bestScore {
-				best, bestScore = pr.Config, s
+		if pr, ok := c.cfg.Priors.Lookup(sig); ok {
+			pc := pr.Config
+			if pc.MRWays > ways {
+				pc.MRWays = ways
 			}
-			probes++
+			fits := pc.MRThreads >= 1 && pc.MRThreads <= threads-1 &&
+				pc.CacheItems >= 0 && pc.CacheItems <= maxCache
+			if fits && pc != old {
+				if s := c.sys.Measure(pc); s > bestScore {
+					best, bestScore = pc, s
+				}
+				probes++
+			}
 		}
 	}
 
 	// Full hierarchical search (linear probe × trisection).
-	res := Optimize(c.sys)
-	probes += res.Probes
-	if res.Score > bestScore {
-		best, bestScore = res.Best, res.Score
+	opt := Optimize(c.sys)
+	probes += opt.Probes
+	if opt.Score > bestScore {
+		best, bestScore = opt.Best, opt.Score
 	}
 
 	// Minimum-improvement threshold: keep the winner only if it beats the
-	// incumbent by MinGain; otherwise revert. This is what keeps a stable
+	// incumbent by minGain; otherwise revert. This is what keeps a stable
 	// workload's configuration pinned even though probe windows are noisy.
-	reverted := false
-	if best != old && oldScore > 0 && bestScore < oldScore*(1+c.cfg.MinGain) {
+	event := "retune"
+	if best != old && oldScore > 0 && bestScore < oldScore*(1+minGain) {
 		best, bestScore = old, oldScore
-		reverted = true
+		event = "revert"
 		c.reverts.Add(1)
 	}
 	c.sys.Apply(best)
 
-	if haveSig {
+	// A search that measured nothing (operator retune of an idle system)
+	// carries no information and must not overwrite what is known.
+	if haveSig && bestScore > 0 {
 		c.cfg.Priors.Update(sig, Prior{Config: best, Score: bestScore, Source: "online"})
 	}
 
-	out := Result{Best: best, Score: bestScore, Probes: probes}
-	if reverted && c.cfg.Trace != nil {
-		c.cfg.Trace.Record(obs.Decision{
-			Event:    "revert",
-			Rate:     bestScore,
-			OldSplit: old.MRThreads, NewSplit: best.MRThreads,
-			OldCache: old.CacheItems, NewCache: best.CacheItems,
-			Score:  bestScore,
-			Probes: probes,
-		})
-		// RecordRetune would log a second entry; still reset the feedback
-		// loop so post-search windows start a fresh baseline.
-		c.watcher.reset()
-	} else {
-		c.watcher.RecordRetune(old.MRThreads, old.CacheItems, out)
-	}
+	c.record(obs.Decision{
+		Event:    event,
+		Rate:     bestScore,
+		OldSplit: threads - old.MRThreads, NewSplit: threads - best.MRThreads,
+		OldCache: old.CacheItems, NewCache: best.CacheItems,
+		Score:  bestScore,
+		Probes: probes,
+	})
+	c.reset()
 	c.lastRetune = now
-	return out
+	return Result{Best: best, Score: bestScore, Probes: probes}
+}
+
+func (c *Controller) record(d obs.Decision) {
+	if c.cfg.Trace != nil {
+		c.cfg.Trace.Record(d)
+	}
+}
+
+// reset restarts both monitors and samplers, so the windows after a
+// search build a fresh baseline instead of inheriting the rates observed
+// during probing.
+func (c *Controller) reset() {
+	c.rateMon.Reset()
+	c.rate.Reset()
+	if c.cfg.Latency != nil {
+		c.latMon.Reset()
+		c.cfg.Latency.Reset()
+	}
 }

@@ -84,53 +84,6 @@ func warm(t *testing.T, c *Controller, now *time.Time) {
 	}
 }
 
-// TestControllerRetunesOnShift: a load shift must trigger exactly one
-// search, and the search must land on (and apply) the score function's
-// optimum.
-func TestControllerRetunesOnShift(t *testing.T) {
-	optimum := Config{CacheItems: 400, MRThreads: 3}
-	sys := &ctlSystem{
-		cur: Config{CacheItems: 0, MRThreads: 1}, threads: 4, maxCache: 800, step: 200,
-		score: func(c Config) float64 {
-			d := func(a, b int) float64 {
-				if a > b {
-					return float64(a - b)
-				}
-				return float64(b - a)
-			}
-			return 10000 - 5*d(c.CacheItems, optimum.CacheItems) - 1000*d(c.MRThreads, optimum.MRThreads)
-		},
-	}
-	rate := newSynthRate(1e6)
-	trace := obs.NewDecisionTrace(64)
-	c := NewController(sys, ControllerConfig{
-		Rate:     rate.read,
-		Cooldown: time.Hour,
-		Trace:    trace,
-	})
-
-	now := time.Unix(1000, 0)
-	warm(t, c, &now)
-
-	// Load collapses 100x: trigger → retune.
-	rate.set(1e4)
-	if !tick(c, &now) {
-		t.Fatal("no retune after a 100x load shift")
-	}
-	if sys.Current() != optimum {
-		t.Fatalf("applied %+v, want optimum %+v", sys.Current(), optimum)
-	}
-	_, triggers, retunes, reverts := c.Counters()
-	if triggers != 1 || retunes != 1 || reverts != 0 {
-		t.Fatalf("counters: triggers=%d retunes=%d reverts=%d, want 1/1/0", triggers, retunes, reverts)
-	}
-	ds := trace.Snapshot()
-	last := ds[len(ds)-1]
-	if last.Event != "retune" || last.NewCache != optimum.CacheItems || last.NewSplit != optimum.MRThreads {
-		t.Fatalf("last decision = %+v, want a retune to the optimum", last)
-	}
-}
-
 // TestControllerCooldownBoundsRetunes: with every window triggering (a
 // pathologically noisy load), at most one search may run per cooldown
 // window — the anti-oscillation guarantee.
@@ -199,89 +152,312 @@ func TestControllerStableWorkloadNoRetune(t *testing.T) {
 	}
 }
 
-// TestControllerMinGainRevert: when the search's winner does not beat the
-// incumbent by MinGain, the incumbent stays — and the revert is counted
-// and traced.
-func TestControllerMinGainRevert(t *testing.T) {
-	incumbent := Config{CacheItems: 200, MRThreads: 2}
-	sys := &ctlSystem{
-		cur: incumbent, threads: 4, maxCache: 400, step: 200,
-		// Nearly flat landscape: the search's winner beats the incumbent by
-		// only 2% — real gain, but below the 5% MinGain bar, i.e. the noise
-		// band a probe window can fabricate.
-		score: func(c Config) float64 {
-			if (c == Config{CacheItems: 400, MRThreads: 3}) {
-				return 5100
-			}
-			return 5000
-		},
+// TestControllerPriorOutOfBounds: a prior learned on another machine
+// shape is skipped, not clamped and probed — zero probe windows — while
+// one that fits is probed with the LLC grant cut to what the system
+// exposes. {3000, 6, 8} is what the 8-worker simkv sweep writes. Either
+// way the search's winner is written back with source "online".
+func TestControllerPriorOutOfBounds(t *testing.T) {
+	cases := []struct {
+		name   string
+		prior  Config
+		probed Config // zero value: must not be probed at all
+	}{
+		{"mr-threads out of 8 workers", Config{CacheItems: 3000, MRThreads: 6, MRWays: 8}, Config{}},
+		{"cache past the hot-set bound", Config{CacheItems: 10000, MRThreads: 2}, Config{}},
+		{"no mr thread", Config{CacheItems: 3000, MRThreads: 0}, Config{}},
+		{"fits once the ways are cut", Config{CacheItems: 3000, MRThreads: 3, MRWays: 8}, Config{CacheItems: 3000, MRThreads: 3}},
 	}
-	rate := newSynthRate(1000)
-	trace := obs.NewDecisionTrace(64)
-	c := NewController(sys, ControllerConfig{Rate: rate.read, Trace: trace})
-
-	res := c.Retune()
-	if res.Best != incumbent {
-		t.Fatalf("flat landscape moved config to %+v, want incumbent %+v kept", res.Best, incumbent)
-	}
-	if sys.Current() != incumbent {
-		t.Fatalf("applied %+v, want incumbent restored", sys.Current())
-	}
-	_, _, _, reverts := c.Counters()
-	if reverts != 1 {
-		t.Fatalf("reverts = %d, want 1", reverts)
-	}
-	found := false
-	for _, d := range trace.Snapshot() {
-		if d.Event == "revert" {
-			found = true
+	for _, tc := range cases {
+		sys := &ctlSystem{
+			cur: Config{MRThreads: 1}, threads: 4, maxCache: 8192, step: 4096,
+			score: func(c Config) float64 { return 1000 },
 		}
-	}
-	if !found {
-		t.Fatal("no revert decision in trace")
+		priors := NewPriors()
+		sig := MakeSignature(0.5, 0, 512)
+		priors.Update(sig, Prior{Config: tc.prior, Score: 12.5, Source: "simkv"})
+		c := NewController(sys, ControllerConfig{
+			Rate:      newSynthRate(1000).read,
+			Priors:    priors,
+			Signature: func() Signature { return sig },
+		})
+		res := c.Retune()
+		if res.Probes != len(sys.measured) {
+			t.Errorf("%s: %d probes reported, %d Measure calls", tc.name, res.Probes, len(sys.measured))
+		}
+		// Optimize only visits cache sizes 0, 4096 and 8192, so a probe at
+		// the prior's size can only be the prior probe.
+		var got Config
+		for _, m := range sys.measured {
+			if m.CacheItems == tc.prior.CacheItems {
+				got = m
+			}
+		}
+		if got != tc.probed {
+			t.Errorf("%s: prior %+v probed as %+v, want %+v", tc.name, tc.prior, got, tc.probed)
+		}
+		if pr, _ := priors.Lookup(sig); pr.Source != "online" || pr.Config != res.Best {
+			t.Errorf("%s: prior not refined online: %+v, search chose %+v", tc.name, pr, res.Best)
+		}
 	}
 }
 
-// TestControllerPriorSeeding: a known prior is probed during retune, and
-// the winner is written back with source "online".
-func TestControllerPriorSeeding(t *testing.T) {
-	optimum := Config{CacheItems: 400, MRThreads: 3}
+// TestControllerIdleDoesNotSearch: a server that goes idle fires the
+// throughput trigger, but every probe would measure 0 — the controller
+// must spend one probe finding that out, apply nothing, start no cooldown
+// and leave the prior table alone. An operator Retune still searches (the
+// idle reconfiguration burst TestRetuneIdleThenTraffic needs), and still
+// must not overwrite a prior with a score-0 result.
+func TestControllerIdleDoesNotSearch(t *testing.T) {
+	incumbent := Config{CacheItems: 200, MRThreads: 2}
 	sys := &ctlSystem{
-		cur: Config{MRThreads: 1}, threads: 4, maxCache: 800, step: 200,
-		score: func(c Config) float64 {
-			if c == optimum {
-				return 10000
-			}
-			return 1000
-		},
+		cur: incumbent, threads: 8, maxCache: 4000, step: 1000,
+		score: func(Config) float64 { return 0 },
 	}
-	rate := newSynthRate(1000)
 	priors := NewPriors()
-	sig := MakeSignature(0.9, 0, 512)
-	priors.Update(sig, Prior{Config: optimum, Score: 42, Source: "simkv"})
+	sig := MakeSignature(0.5, 0, 512)
+	priors.Update(sig, Prior{Config: Config{CacheItems: 3000, MRThreads: 6, MRWays: 8}, Score: 12.5, Source: "simkv"})
+	before, err := priors.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rate := newSynthRate(1e6)
+	trace := obs.NewDecisionTrace(64)
 	c := NewController(sys, ControllerConfig{
 		Rate:      rate.read,
 		Priors:    priors,
 		Signature: func() Signature { return sig },
+		Trace:     trace,
 	})
 
-	res := c.Retune()
-	if res.Best != optimum {
-		t.Fatalf("retune chose %+v, want prior-seeded optimum %+v", res.Best, optimum)
-	}
-	probed := false
-	for _, m := range sys.measured {
-		if m == optimum {
-			probed = true
-			break
+	now := time.Unix(4000, 0)
+	for i := 0; i < 6; i++ {
+		if tick(c, &now) {
+			t.Fatalf("retuned during steady load (window %d)", i)
 		}
 	}
-	if !probed {
-		t.Fatal("prior config never probed")
+	rate.set(0)
+	if tick(c, &now) {
+		t.Fatal("idle transition reported a search")
 	}
-	pr, ok := priors.Lookup(sig)
-	if !ok || pr.Source != "online" || pr.Config != optimum {
-		t.Fatalf("prior not refined online: %+v ok=%v", pr, ok)
+	if len(sys.measured) != 1 || sys.measured[0] != incumbent {
+		t.Fatalf("idle transition cost %d probes (%+v), want exactly the incumbent's baseline", len(sys.measured), sys.measured)
+	}
+	if sys.Current() != incumbent {
+		t.Fatalf("idle transition moved the config to %+v", sys.Current())
+	}
+	after, _ := priors.MarshalJSON()
+	if string(after) != string(before) {
+		t.Fatalf("idle transition rewrote the priors:\n before %s\n after  %s", before, after)
+	}
+	if got := events(trace); len(got) != 2 || got[0] != "trigger" || got[1] != "suppress" {
+		t.Fatalf("trace = %v, want [trigger suppress]", got)
+	}
+	_, triggers, retunes, _ := c.Counters()
+	if triggers != 1 || retunes != 0 {
+		t.Fatalf("counters: triggers=%d retunes=%d, want 1/0", triggers, retunes)
+	}
+
+	// No cooldown started: once traffic is back, the next shift — well
+	// inside 3s of the idle tick — searches.
+	sys.score = func(Config) float64 { return 1000 }
+	for i := 0; i < 10; i++ {
+		rate.set([]float64{1e8, 1e4}[i%2])
+		tick(c, &now)
+	}
+	if _, _, retunes, _ := c.Counters(); retunes != 1 {
+		t.Fatalf("%d searches in the second after the idle tick, want 1 (0: the idle tick started a cooldown)", retunes)
+	}
+
+	// Operator action on an idle system: searches, writes no prior.
+	sys.score = func(Config) float64 { return 0 }
+	priors.Update(sig, Prior{Config: Config{CacheItems: 3000, MRThreads: 6, MRWays: 8}, Score: 12.5, Source: "simkv"})
+	sys.measured = nil
+	if res := c.Retune(); res.Probes < 2 || len(sys.measured) != res.Probes {
+		t.Fatalf("forced retune on an idle system probed %d times (%d Measure calls), want a full search", res.Probes, len(sys.measured))
+	}
+	after, _ = priors.MarshalJSON()
+	if string(after) != string(before) {
+		t.Fatalf("score-0 search rewrote the priors:\n before %s\n after  %s", before, after)
+	}
+}
+
+func events(tr *obs.DecisionTrace) (evs []string) {
+	for _, d := range tr.Snapshot() {
+		evs = append(evs, d.Event)
+	}
+	return evs
+}
+
+// TestControllerTraceSequences scripts (rate, mean latency) windows and
+// pins the exact decision sequence each produces: one entry per
+// triggering tick, one per search, all written by the controller.
+func TestControllerTraceSequences(t *testing.T) {
+	type win struct {
+		rate float64
+		lat  uint64 // recorded 100 times in the window; 0 = no requests
+	}
+	steady := func(n int) (ws []win) {
+		for i := 0; i < n; i++ {
+			ws = append(ws, win{1e6, 1000})
+		}
+		return ws
+	}
+	flat := func(Config) float64 { return 5000 }
+	peaked := func(c Config) float64 {
+		if (c == Config{CacheItems: 400, MRThreads: 3}) {
+			return 10000
+		}
+		return 5000
+	}
+	cases := []struct {
+		name    string
+		score   func(Config) float64
+		noTrace bool
+		windows []win
+		want    []string
+		check   func(t *testing.T, ds []obs.Decision)
+	}{
+		{
+			name: "throughput shift", score: peaked,
+			windows: append(steady(5), win{1e4, 1000}),
+			want:    []string{"trigger", "retune"},
+			check: func(t *testing.T, ds []obs.Decision) {
+				// The window opens a few µs before the synthetic rate drops, so
+				// the observed rate is 1e4 give or take integer truncation and that leak.
+				if tr := ds[0]; tr.Rate < 0.5e4 || tr.Rate > 5e4 || tr.NewSplit != -1 || tr.NewCache != -1 {
+					t.Errorf("trigger = %+v, want the shifted window's rate and no config", tr)
+				}
+				// Split is in CR workers: 4 threads, MR 2 → 3.
+				if rt := ds[1]; rt.OldSplit != 2 || rt.NewSplit != 1 || rt.OldCache != 200 || rt.NewCache != 400 ||
+					rt.Score != 10000 || rt.Probes == 0 {
+					t.Errorf("retune = %+v, want 2→1 CR workers, cache 200→400, score 10000, probes counted", rt)
+				}
+			},
+		},
+		{
+			// 1000 → 1200 ns crosses the [512,1024) → [1024,2048) bucket
+			// boundary (an interpolated p50 roughly doubles) but moves the
+			// exact mean +20% < 25%: no trigger. 1700 ns is a real shift.
+			name: "latency-only shift at constant rate", score: peaked,
+			windows: append(steady(5), win{1e6, 1200}, win{1e6, 1700}),
+			want:    []string{"lat-trigger", "retune"},
+			check: func(t *testing.T, ds []obs.Decision) {
+				if ds[0].Score != 1700 {
+					t.Errorf("lat-trigger Score = %v, want the exact _sum/_count mean 1700", ds[0].Score)
+				}
+			},
+		},
+		{
+			name: "both channels in one tick", score: peaked,
+			windows: append(steady(5), win{1e4, 5000}),
+			want:    []string{"trigger", "retune"},
+		},
+		{
+			name: "empty latency windows are skipped, not fed as zero", score: peaked,
+			windows: append(steady(5), win{1e6, 0}, win{1e6, 0}, win{1e6, 1000}),
+			want:    nil,
+		},
+		{
+			name: "shift inside cooldown", score: peaked,
+			windows: append(append(steady(5), win{1e4, 1000}), append(steady(5), win{1e4, 1000})...),
+			want:    []string{"trigger", "retune", "suppress"},
+		},
+		{
+			name: "winner under 5% gain", score: func(c Config) float64 {
+				if (c == Config{CacheItems: 400, MRThreads: 3}) {
+					return 5100
+				}
+				return 5000
+			},
+			windows: append(steady(5), win{1e4, 1000}),
+			want:    []string{"trigger", "revert"},
+			check: func(t *testing.T, ds []obs.Decision) {
+				if rv := ds[1]; rv.NewSplit != rv.OldSplit || rv.NewCache != rv.OldCache || rv.Score != 5000 {
+					t.Errorf("revert = %+v, want the incumbent kept at its own score", rv)
+				}
+			},
+		},
+		{
+			name: "nil trace", score: flat, noTrace: true,
+			windows: append(steady(5), win{1e4, 5000}),
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := &ctlSystem{
+				cur: Config{CacheItems: 200, MRThreads: 2}, threads: 4, maxCache: 400, step: 200,
+				score: tc.score,
+			}
+			rate := newSynthRate(1e6)
+			h := obs.NewHistogram(1)
+			trace := obs.NewDecisionTrace(64)
+			cfg := ControllerConfig{
+				Rate:     rate.read,
+				Latency:  obs.NewHistogramMeanSampler(h),
+				Cooldown: time.Hour,
+				Trace:    trace,
+			}
+			if tc.noTrace {
+				cfg.Trace = nil
+			}
+			c := NewController(sys, cfg)
+			now := time.Unix(5000, 0)
+			window := func(w win) bool {
+				rate.set(w.rate)
+				if w.lat > 0 {
+					for i := 0; i < 100; i++ {
+						h.Record(0, w.lat)
+					}
+				}
+				return tick(c, &now)
+			}
+			searched := false
+			for _, w := range tc.windows {
+				searched = window(w)
+			}
+			if searched {
+				// The one reset() ran on both channels: whichever fired, the
+				// next Warmup windows rebuild both baselines and cannot trigger.
+				_, before, _, _ := c.Counters()
+				for _, wild := range []win{{1e8, 90000}, {1e3, 10}, {1e7, 400000}} {
+					window(wild)
+				}
+				if _, after, _, _ := c.Counters(); after != before {
+					t.Fatalf("%d triggers inside the post-search warmup", after-before)
+				}
+			}
+			ds, got := trace.Snapshot(), events(trace)
+			if len(got) != len(tc.want) {
+				t.Fatalf("trace = %v, want %v", got, tc.want)
+			}
+			for i := range got {
+				if got[i] != tc.want[i] {
+					t.Fatalf("trace = %v, want %v", got, tc.want)
+				}
+			}
+			// Counters agree with the trace, and the last search's verdict is
+			// what the system is left running.
+			n := map[string]uint64{}
+			for _, ev := range got {
+				n[ev]++
+			}
+			_, triggers, retunes, reverts := c.Counters()
+			if !tc.noTrace && (triggers != n["trigger"]+n["lat-trigger"]+n["suppress"] ||
+				retunes != n["retune"]+n["revert"] || reverts != n["revert"]) {
+				t.Fatalf("counters triggers=%d retunes=%d reverts=%d disagree with trace %v", triggers, retunes, reverts, got)
+			}
+			for _, d := range ds {
+				if d.Event == "retune" || d.Event == "revert" {
+					if cur := sys.Current(); cur.CacheItems != d.NewCache || sys.threads-cur.MRThreads != d.NewSplit {
+						t.Fatalf("%s to split %d cache %d, but the system runs %+v", d.Event, d.NewSplit, d.NewCache, cur)
+					}
+				}
+			}
+			if tc.check != nil {
+				tc.check(t, ds)
+			}
+		})
 	}
 }
 

@@ -1,80 +1,61 @@
 package tuner
 
 // Monitor is the auto-tuner's feedback loop trigger (§3.5): it watches
-// windowed throughput samples and reports when the load has shifted enough
-// that retuning is worthwhile ("the auto-tuner is triggered when the
-// system load exhibits significant changes").
+// windowed samples (throughput, or mean latency) and reports when the
+// load has shifted enough that retuning is worthwhile ("the auto-tuner is
+// triggered when the system load exhibits significant changes").
 //
-// The detector keeps an exponential moving average of the sample rate and
-// flags a change when a sample deviates from the baseline by more than
-// Threshold (relative). After a trigger, the baseline resets to the new
-// level so a single shift fires exactly once.
+// The detector keeps an exponential moving average of the samples and
+// flags a change on the first sample that deviates from that baseline by
+// more than Threshold (relative). After a trigger, the baseline resets to
+// the new level so a single shift fires exactly once.
 type Monitor struct {
 	// Threshold is the relative deviation that counts as a load change
 	// (default 0.25 = ±25%).
 	Threshold float64
-	// Alpha is the EMA smoothing factor for the baseline (default 0.2).
-	Alpha float64
+	// Warmup samples establish the baseline before triggering (default 3).
+	Warmup int
 
 	baseline float64
 	samples  int
-	// warmup samples establish the baseline before triggering (default 3).
-	Warmup int
 }
 
-func (m *Monitor) threshold() float64 {
-	if m.Threshold <= 0 {
-		return 0.25
-	}
-	return m.Threshold
-}
+// emaAlpha is the baseline's smoothing factor.
+const emaAlpha = 0.2
 
-func (m *Monitor) alpha() float64 {
-	if m.Alpha <= 0 || m.Alpha > 1 {
-		return 0.2
-	}
-	return m.Alpha
-}
-
-func (m *Monitor) warmup() int {
-	if m.Warmup <= 0 {
-		return 3
-	}
-	return m.Warmup
-}
-
-// Observe feeds one window's throughput and reports whether the load has
+// Observe feeds one window's sample and reports whether the load has
 // shifted enough to warrant retuning.
 func (m *Monitor) Observe(rate float64) (changed bool) {
+	threshold, warmup := m.Threshold, m.Warmup
+	if threshold <= 0 {
+		threshold = 0.25
+	}
+	if warmup <= 0 {
+		warmup = 3
+	}
 	m.samples++
-	if m.samples <= m.warmup() || m.baseline == 0 {
-		if m.baseline == 0 {
-			m.baseline = rate
-		} else {
-			a := m.alpha()
-			m.baseline = (1-a)*m.baseline + a*rate
-		}
+	if m.baseline == 0 {
+		m.baseline = rate
 		return false
 	}
 	dev := rate - m.baseline
 	if dev < 0 {
 		dev = -dev
 	}
-	if dev > m.threshold()*m.baseline {
+	if m.samples > warmup && dev > threshold*m.baseline {
 		// Shift detected: rebase so the trigger fires once per shift.
 		m.baseline = rate
 		m.samples = 0
 		return true
 	}
-	a := m.alpha()
-	m.baseline = (1-a)*m.baseline + a*rate
+	m.baseline = (1-emaAlpha)*m.baseline + emaAlpha*rate
 	return false
 }
 
-// Baseline returns the current smoothed throughput estimate.
+// Baseline returns the current smoothed estimate.
 func (m *Monitor) Baseline() float64 { return m.baseline }
 
-// Reset clears the monitor (e.g. right after an explicit retune).
+// Reset clears the monitor (e.g. right after a retune).
 func (m *Monitor) Reset() {
 	m.baseline = 0
 	m.samples = 0

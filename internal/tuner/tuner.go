@@ -83,25 +83,6 @@ func TrisectMax(lo, hi int, eval func(int) float64) (best int, probes int) {
 	return best, probes
 }
 
-// LinearProbeMax evaluates every candidate and returns the argmax (first
-// one on ties) along with the number of evaluations.
-func LinearProbeMax(candidates []int, eval func(int) float64) (best int, probes int) {
-	if len(candidates) == 0 {
-		panic("tuner: no candidates")
-	}
-	best = candidates[0]
-	bestV := eval(best)
-	probes = 1
-	for _, c := range candidates[1:] {
-		v := eval(c)
-		probes++
-		if v > bestV {
-			best, bestV = c, v
-		}
-	}
-	return best, probes
-}
-
 // Optimize runs the full hierarchical search and leaves the system
 // configured at the best point found.
 func Optimize(sys Reconfigurable) Result {
@@ -120,13 +101,8 @@ func Optimize(sys Reconfigurable) Result {
 
 	// Hierarchical: linear probe over cache sizes; trisect the thread
 	// split inside each.
-	var cacheSizes []int
-	for k := 0; k <= maxCache; k += step {
-		cacheSizes = append(cacheSizes, k)
-	}
 	bestScore := -1.0
-	for _, k := range cacheSizes {
-		k := k
+	for k := 0; k <= maxCache; k += step {
 		bestMR, probes := TrisectMax(1, threads-1, func(mr int) float64 {
 			return sys.Measure(Config{CacheItems: k, MRThreads: mr, MRWays: ways})
 		})
@@ -148,44 +124,6 @@ func Optimize(sys Reconfigurable) Result {
 	res.Probes += probes
 	res.Best.MRWays = bestWays
 
-	res.Score = sys.Measure(res.Best)
-	res.Probes++
-	return res
-}
-
-// OptimizeExhaustive searches the same space without trisection — the
-// ablation baseline demonstrating the probe-count savings of the paper's
-// search (it must find a configuration at least as good, at higher cost).
-func OptimizeExhaustive(sys Reconfigurable) Result {
-	threads, ways, maxCache, step := sys.Bounds()
-	if step <= 0 {
-		step = 1000
-	}
-	var res Result
-	bestScore := -1.0
-	for k := 0; k <= maxCache; k += step {
-		for mr := 1; mr <= threads-1 || (threads < 2 && mr == 1); mr++ {
-			score := sys.Measure(Config{CacheItems: k, MRThreads: mr, MRWays: ways})
-			res.Probes++
-			if score > bestScore {
-				bestScore = score
-				res.Best = Config{CacheItems: k, MRThreads: mr, MRWays: ways}
-			}
-			if threads < 2 {
-				break
-			}
-		}
-	}
-	for w := 0; w <= ways; w++ {
-		c := res.Best
-		c.MRWays = w
-		score := sys.Measure(c)
-		res.Probes++
-		if score > bestScore {
-			bestScore = score
-			res.Best = c
-		}
-	}
 	res.Score = sys.Measure(res.Best)
 	res.Probes++
 	return res

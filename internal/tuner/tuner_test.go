@@ -67,21 +67,6 @@ func TestTrisectMaxPropertyUnimodal(t *testing.T) {
 	}
 }
 
-func TestLinearProbeMax(t *testing.T) {
-	best, probes := LinearProbeMax([]int{0, 1000, 2000, 3000}, func(k int) float64 {
-		return -math.Abs(float64(k - 2000))
-	})
-	if best != 2000 || probes != 4 {
-		t.Fatalf("best=%d probes=%d", best, probes)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on empty candidates")
-		}
-	}()
-	LinearProbeMax(nil, func(int) float64 { return 0 })
-}
-
 // fakeSystem models the paper's landscape: throughput unimodal in the
 // thread split and in MR ways, with a cache-size interaction that shifts
 // the ideal split.
@@ -115,19 +100,6 @@ func TestOptimizeFindsGoodConfig(t *testing.T) {
 	}
 	if res.Probes != sys.measures {
 		t.Fatalf("probe accounting: %d vs %d", res.Probes, sys.measures)
-	}
-}
-
-func TestOptimizeMatchesExhaustiveButCheaper(t *testing.T) {
-	tri := &fakeSystem{}
-	exh := &fakeSystem{}
-	r1 := Optimize(tri)
-	r2 := OptimizeExhaustive(exh)
-	if math.Abs(r1.Score-r2.Score) > 0.5 {
-		t.Fatalf("trisection score %.2f vs exhaustive %.2f", r1.Score, r2.Score)
-	}
-	if r1.Probes >= r2.Probes {
-		t.Fatalf("trisection probes %d not cheaper than exhaustive %d", r1.Probes, r2.Probes)
 	}
 }
 

@@ -296,23 +296,14 @@ type TuneResult struct {
 // Autotune runs the paper's hierarchical auto-tuner against the live store:
 // it explores worker splits (trisection) and hot-set sizes (linear probe),
 // measuring each candidate for the given window while the store keeps
-// serving, and leaves the best configuration applied. Call it under
-// representative load; with no traffic every configuration measures zero
-// and the result is arbitrary.
+// serving, and leaves the best configuration applied — or the incumbent,
+// when no candidate beats it by the controller's 5% minimum gain. Call it
+// under representative load; with no traffic every configuration measures
+// zero and the result is arbitrary.
 func (st *Store) Autotune(window time.Duration, maxHotItems int) TuneResult {
-	oldCR, _ := st.s.Split()
-	oldHot := st.s.HotItems()
 	tn := &kvcore.Tunable{S: st.s, Window: window, MaxCache: maxHotItems}
-	res := tuner.Optimize(tn)
+	res := tuner.NewController(tn, tuner.ControllerConfig{Rate: st.s.Ops, Trace: st.s.Trace()}).Retune()
 	nCR, nMR := st.s.Split()
-	st.s.Trace().Record(obs.Decision{
-		Event:    "retune",
-		Rate:     res.Score,
-		OldSplit: oldCR, NewSplit: nCR,
-		OldCache: oldHot, NewCache: st.s.HotItems(),
-		Score:  res.Score,
-		Probes: res.Probes,
-	})
 	return TuneResult{
 		CRWorkers: nCR,
 		MRWorkers: nMR,
