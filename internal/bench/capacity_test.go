@@ -3,17 +3,16 @@ package bench
 import (
 	"fmt"
 	"os"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"mutps/internal/benchfmt"
 	"mutps/internal/kvcore"
-	"mutps/internal/obs"
+	"mutps/internal/loadgen"
+	"mutps/internal/workload"
 )
 
-// BenchmarkEvictionChurn measures sustained put churn over a keyspace ~4×
+// BenchmarkEvictionChurn measures sustained uniform-random put churn (four
+// loadgen workers on the in-process store) over a keyspace ~4×
 // the memory budget, with and without the cold tier — the capacity
 // experiment from DESIGN.md §13. Every put past the watermark forces the
 // evictor to unlink a victim (and, with a cold dir, spill its value to the
@@ -49,41 +48,18 @@ func BenchmarkEvictionChurn(b *testing.B) {
 			}
 			defer s.Close()
 
-			lat := obs.NewHistogram(drivers)
-			var next atomic.Uint64
-			perDriver := b.N / drivers
-			if perDriver == 0 {
-				perDriver = 1
-			}
-			val := make([]byte, valSize)
-			for i := range val {
-				val[i] = byte(i)
-			}
 			b.ResetTimer()
-			start := time.Now()
-			var wg sync.WaitGroup
-			for d := 0; d < drivers; d++ {
-				wg.Add(1)
-				go func(d int) {
-					defer wg.Done()
-					for i := 0; i < perDriver; i++ {
-						k := next.Add(1) % nKeys
-						t0 := time.Now()
-						if err := s.Put(k, val); err != nil {
-							b.Error(err)
-							return
-						}
-						lat.Record(d, uint64(time.Since(t0)))
-					}
-				}(d)
-			}
-			wg.Wait()
-			elapsed := time.Since(start)
+			res, err := loadgen.Run(drivers, func(w *loadgen.Worker) error {
+				puts := workload.NewGenerator(workload.Config{Keys: nKeys, Mix: workload.MixPutOnly,
+					ValueSize: workload.FixedSize(valSize), Seed: uint64(w.ID + 1)})
+				return loadgen.NewSync(w, s, valSize).Drive(puts, loadgen.Share(b.N, drivers, w.ID), 1)
+			})
 			b.StopTimer()
+			if err != nil {
+				b.Fatal(err)
+			}
 
-			ops := perDriver * drivers
-			opsPerSec := float64(ops) / elapsed.Seconds()
-			b.ReportMetric(opsPerSec, "puts/s")
+			b.ReportMetric(float64(b.N)/res.Elapsed.Seconds(), "puts/s")
 			var over int64
 			if mode == "unbounded" {
 				b.ReportMetric(float64(s.BudgetedBytes()), "live-bytes")
@@ -99,26 +75,18 @@ func BenchmarkEvictionChurn(b *testing.B) {
 				}
 				b.ReportMetric(float64(over), "bytes-over-budget")
 			}
-			snap := lat.Snapshot()
 			if out := os.Getenv("BENCH_CAPACITY_OUT"); out != "" && b.N > 1 {
-				rec := benchfmt.New("BenchmarkEvictionChurn")
-				rec.Config = map[string]any{
+				appendBenchRecord(b, out, res.Record("BenchmarkEvictionChurn", map[string]any{
 					"mode":         mode,
 					"budget_bytes": budget,
 					"keys":         nKeys,
 					"value_size":   valSize,
 					"drivers":      drivers,
-				}
-				rec.Ops = uint64(ops)
-				rec.OpsPerSec = opsPerSec
-				rec.P50Ns = float64(snap.Quantile(0.50))
-				rec.P99Ns = float64(snap.Quantile(0.99))
-				rec.Extra = map[string]any{
+				}, map[string]any{
 					"latency_of":        "put",
 					"live_bytes":        s.BudgetedBytes(),
 					"bytes_over_budget": over,
-				}
-				appendBenchRecord(b, out, rec)
+				}))
 			}
 		})
 	}

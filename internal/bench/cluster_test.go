@@ -3,22 +3,22 @@ package bench
 import (
 	"fmt"
 	"os"
-	"sync"
 	"testing"
-	"time"
 
 	"mutps/internal/benchfmt"
 	"mutps/internal/cluster"
 	"mutps/internal/kvcore"
+	"mutps/internal/loadgen"
 	"mutps/internal/obs"
+	"mutps/internal/workload"
 )
 
 // BenchmarkClusterGets measures aggregate get throughput against an
 // in-process shard set at 1 and 2 shards: the scale-out question is
-// whether adding a shard adds throughput. Each of four driver goroutines
-// keeps one 64-key mget frame in flight, so every iteration exercises
-// the full fan-out path — consistent-hash grouping, one batched frame
-// per touched shard, positional scatter of the replies.
+// whether adding a shard adds throughput. Each of four loadgen workers
+// keeps one 64-key batch of uniform-random gets in flight, so every
+// iteration exercises the full fan-out path — consistent-hash grouping, one
+// batched frame per touched shard, positional scatter of the replies.
 //
 // Honest-numbers caveat: on a single-core host the shards time-share one
 // CPU and 2-shard throughput cannot exceed 1-shard (the paper's scaling
@@ -58,48 +58,17 @@ func BenchmarkClusterGets(b *testing.B) {
 				l.Store(cli.ShardOf(k)).Preload(k, val)
 			}
 
-			lat := obs.NewHistogram(drivers)
-			perDriver := b.N / drivers
 			b.ReportAllocs()
 			b.ResetTimer()
-			var wg sync.WaitGroup
-			for d := 0; d < drivers; d++ {
-				wg.Add(1)
-				go func(d int) {
-					defer wg.Done()
-					keys := make([]uint64, batch)
-					// Stride the keyspace per driver so frames hit all shards.
-					next := uint64(d * 1047)
-					for i := 0; i < perDriver; i += batch {
-						n := batch
-						if rem := perDriver - i; rem < n {
-							n = rem
-						}
-						for j := 0; j < n; j++ {
-							keys[j] = next % nKeys
-							next += 7
-						}
-						t0 := time.Now()
-						_, found, err := cli.MGet(keys[:n])
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						lat.Record(d, uint64(time.Since(t0)))
-						for j, ok := range found {
-							if !ok {
-								b.Errorf("key %d missing", keys[j])
-								return
-							}
-						}
-					}
-				}(d)
-			}
-			wg.Wait()
+			res, err := loadgen.Run(drivers, func(w *loadgen.Worker) error {
+				gets := workload.NewGenerator(workload.Config{Keys: nKeys, Mix: workload.MixYCSBC, Seed: uint64(w.ID + 1)})
+				return loadgen.NewSync(w, cli, len(val)).Drive(gets, loadgen.Share(b.N, drivers, w.ID), batch)
+			})
 			b.StopTimer()
+			if err != nil {
+				b.Fatal(err)
+			}
 
-			elapsed := b.Elapsed()
-			opsPerSec := float64(perDriver*drivers) / elapsed.Seconds()
 			keysPerFrame := 0.0
 			if !obs.Disabled {
 				m := cli.Metrics().SnapshotMap()
@@ -108,36 +77,28 @@ func BenchmarkClusterGets(b *testing.B) {
 					b.ReportMetric(keysPerFrame, "keys/frame")
 				}
 			}
-			snap := lat.Snapshot()
-			b.ReportMetric(opsPerSec, "gets/s")
+			b.ReportMetric(float64(b.N)/res.Elapsed.Seconds(), "gets/s")
 			if out := os.Getenv("BENCH_CLUSTER_OUT"); out != "" && b.N > 1 {
-				rec := benchfmt.New("BenchmarkClusterGets")
-				rec.Config = map[string]any{
+				// P50/P99 are per key, as everywhere: each key of a frame
+				// is one sample of the frame's latency.
+				appendBenchRecord(b, out, res.Record("BenchmarkClusterGets", map[string]any{
 					"shards":     shards,
 					"batch_size": batch,
 					"drivers":    drivers,
-				}
-				rec.Ops = uint64(perDriver * drivers)
-				rec.OpsPerSec = opsPerSec
-				// P50/P99 here are per mget *frame*, not per key.
-				rec.P50Ns = float64(snap.Quantile(0.50))
-				rec.P99Ns = float64(snap.Quantile(0.99))
-				rec.Extra = map[string]any{
-					"latency_of":         "mget-frame",
+				}, map[string]any{
+					"latency_of":         "key",
 					"avg_keys_per_frame": keysPerFrame,
-				}
-				appendBenchRecord(b, out, rec)
+				}))
 			}
 		})
 	}
 }
 
-// appendBenchRecord stamps and appends one normalized record (schema
-// mutps-bench/v1) so repeated runs (and sub-benchmarks) accumulate into a
-// comparable series all BENCH_*.json artifacts share.
+// appendBenchRecord appends one normalized record (schema mutps-bench/v1)
+// so repeated runs (and sub-benchmarks) accumulate into a comparable
+// series all BENCH_*.json artifacts share.
 func appendBenchRecord(b *testing.B, path string, rec benchfmt.Record) {
 	b.Helper()
-	rec.UnixNanos = time.Now().UnixNano()
 	if err := benchfmt.Append(path, rec); err != nil {
 		b.Fatal(err)
 	}

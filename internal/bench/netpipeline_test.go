@@ -6,17 +6,19 @@ import (
 	"testing"
 
 	"mutps/internal/kvcore"
+	"mutps/internal/loadgen"
 	"mutps/internal/netserver"
 	"mutps/internal/obs"
+	"mutps/internal/workload"
 )
 
 // BenchmarkNetPipeline measures single-connection throughput as a function
-// of the pipelining window: one client connection, a sliding window of W
-// in-flight gets over preloaded 64-byte values. window=1 is the synchronous
-// baseline (one round trip per op, one write syscall per response);
-// larger windows keep the store's receive ring fed from a single socket and
-// coalesce response flushes. The reported resp/flush metric is the flush
-// coalescing factor — a direct proxy for write-syscall reduction.
+// of the pipelining window: one client connection, loadgen's Driver keeping
+// W uniform-random gets in flight over preloaded 64-byte values. window=1 is
+// the synchronous baseline (one round trip per op, one write syscall per
+// response); larger windows keep the store's receive ring fed from a single
+// socket and coalesce response flushes. The reported resp/flush metric is
+// the flush coalescing factor — a direct proxy for write-syscall reduction.
 func BenchmarkNetPipeline(b *testing.B) {
 	for _, window := range []int{1, 16, 128} {
 		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
@@ -42,40 +44,16 @@ func BenchmarkNetPipeline(b *testing.B) {
 			}
 			defer pc.Close()
 
-			futs := make([]*netserver.Future, 0, window)
-			retire := func(f *netserver.Future) {
-				st, _, err := f.Wait()
-				if err != nil || st != netserver.StatusFound {
-					b.Fatalf("get: status %d err %v", st, err)
-				}
-				f.Release()
-			}
+			gets := workload.NewGenerator(workload.Config{Keys: nKeys, Mix: workload.MixYCSBC})
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if len(futs) == window {
-					// Window full: everything buffered must hit the wire
-					// before blocking on the oldest response.
-					if err := pc.Flush(); err != nil {
-						b.Fatal(err)
-					}
-					retire(futs[0])
-					copy(futs, futs[1:])
-					futs = futs[:window-1]
-				}
-				f, err := pc.Send(netserver.OpGet, uint64(i%nKeys), nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				futs = append(futs, f)
-			}
-			if err := pc.Flush(); err != nil {
+			_, err = loadgen.Run(1, func(w *loadgen.Worker) error {
+				return loadgen.NewDriver(w, gets, window, len(val), 0, 0).Drive(pc, b.N)
+			})
+			b.StopTimer()
+			if err != nil {
 				b.Fatal(err)
 			}
-			for _, f := range futs {
-				retire(f)
-			}
-			b.StopTimer()
 			if !obs.Disabled {
 				m := store.Metrics().SnapshotMap()
 				if flushes := m["mutps_net_flush_coalesce_count"]; flushes > 0 {

@@ -7,39 +7,11 @@ import (
 
 	"mutps/internal/benchfmt"
 	"mutps/internal/kvcore"
+	"mutps/internal/loadgen"
 	"mutps/internal/scenario"
 	"mutps/internal/tuner"
 	"mutps/internal/workload"
 )
-
-// kvClient adapts an in-process store to the scenario runner. A get miss
-// is not an error (scenarios delete and rotate hotspots); only store
-// failures abort a run.
-type kvClient struct {
-	s   *kvcore.Store
-	buf []byte
-	val []byte
-}
-
-func newKVClient(s *kvcore.Store, maxVal int) *kvClient {
-	return &kvClient{s: s, buf: make([]byte, 0, maxVal), val: make([]byte, maxVal)}
-}
-
-func (c *kvClient) Do(req workload.Request) error {
-	switch req.Op {
-	case workload.OpGet:
-		_, _, err := c.s.GetInto(req.Key, c.buf[:0])
-		return err
-	case workload.OpPut:
-		return c.s.Put(req.Key, c.val[:req.ValueSize])
-	case workload.OpDelete:
-		_, err := c.s.Delete(req.Key)
-		return err
-	default:
-		_, err := c.s.Scan(req.Key, req.ScanCount)
-		return err
-	}
-}
 
 // openScenarioStore builds a store sized for scenario runs and preloads
 // the full keyspace at the scenario's largest value size.
@@ -102,7 +74,7 @@ func TestScenarioMatrixSmoke(t *testing.T) {
 		s := openScenarioStore(t, sc)
 		r := &scenario.Runner{
 			Scenario: sc,
-			Client:   newKVClient(s, sc.MaxValueSize()),
+			Client:   loadgen.NewSync(nil, s, sc.MaxValueSize()),
 			Window:   25 * time.Millisecond,
 			Seed:     42,
 		}
@@ -166,7 +138,7 @@ func TestScenarioSizeShiftRecovery(t *testing.T) {
 
 		// Both runs start from the configuration tuned for the pre-shift
 		// workload: warm with pre-shift traffic, search once.
-		warmCli := newKVClient(s, sc.MaxValueSize())
+		warmCli := loadgen.NewSync(nil, s, sc.MaxValueSize())
 		warm := workload.NewGenerator(workload.Config{
 			Keys: sc.Keys, Theta: 0.99, Mix: workload.MixYCSBA,
 			ValueSize: workload.FixedSize(512), Seed: 5,
@@ -190,7 +162,7 @@ func TestScenarioSizeShiftRecovery(t *testing.T) {
 		}
 		r := &scenario.Runner{
 			Scenario: sc,
-			Client:   newKVClient(s, sc.MaxValueSize()),
+			Client:   loadgen.NewSync(nil, s, sc.MaxValueSize()),
 			Bench:    bench,
 			Window:   window,
 			Seed:     42,

@@ -4,16 +4,15 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
-	"mutps/internal/benchfmt"
 	"mutps/internal/kvcore"
+	"mutps/internal/loadgen"
 	"mutps/internal/netserver"
 	"mutps/internal/obs"
+	"mutps/internal/workload"
 )
 
 // BenchmarkSparseConns is the million-connection-front-end scaling probe:
@@ -71,104 +70,25 @@ func benchSparseConns(b *testing.B, tr string, conns int) {
 	}
 
 	const win = 16
-	pcs := make([]*netserver.PipelineClient, conns)
-	var dialIdx atomic.Int64
-	var dwg sync.WaitGroup
-	var dialErr atomic.Value
-	for d := 0; d < 64; d++ {
-		dwg.Add(1)
-		go func() {
-			defer dwg.Done()
-			for dialErr.Load() == nil {
-				i := int(dialIdx.Add(1)) - 1
-				if i >= conns {
-					return
-				}
-				pc, err := netserver.DialPipeline(srv.Addr().String(), win)
-				if err != nil {
-					dialErr.Store(err)
-					return
-				}
-				pcs[i] = pc
-			}
-		}()
-	}
-	dwg.Wait()
-	if err, _ := dialErr.Load().(error); err != nil {
+	pcs, err := loadgen.DialAll(srv.Addr().String(), conns, win)
+	if err != nil {
 		b.Fatalf("dialing %d conns: %v (RLIMIT_NOFILE too low for an in-process run?)", conns, err)
 	}
-	defer func() {
-		for _, pc := range pcs {
-			pc.Close()
-		}
-	}()
+	defer loadgen.CloseAll(pcs)
 	time.Sleep(300 * time.Millisecond) // settle: idle buffers strip, accept drains
 
 	active := max(conns/100, 8)
-	const burst = 32
-	hist := obs.NewHistogram(active)
-	locks := make([]sync.Mutex, conns)
-	var remaining atomic.Int64
-	remaining.Store(int64(b.N))
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
 	b.ReportAllocs()
 	b.ResetTimer()
-	start := time.Now()
-	for w := 0; w < active; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			type sent struct {
-				f  *netserver.Future
-				t0 time.Time
-			}
-			futs := make([]sent, 0, win)
-			retire := func(s sent) {
-				if st, _, err := s.f.Wait(); err != nil || st != netserver.StatusFound {
-					b.Errorf("get: status %d err %v", st, err)
-				}
-				hist.Record(w, uint64(time.Since(s.t0)))
-				s.f.Release()
-			}
-			for {
-				n := burst
-				if left := remaining.Add(-burst); left < 0 {
-					n += int(left)
-					if n <= 0 {
-						return
-					}
-				}
-				i := int(cursor.Add(1)-1) % conns
-				locks[i].Lock()
-				pc := pcs[i]
-				for j := 0; j < n; j++ {
-					if len(futs) == win {
-						pc.Flush()
-						retire(futs[0])
-						copy(futs, futs[1:])
-						futs = futs[:win-1]
-					}
-					f, err := pc.Send(netserver.OpGet, uint64((w*burst+j)%nKeys), nil)
-					if err != nil {
-						b.Errorf("send: %v", err)
-						locks[i].Unlock()
-						return
-					}
-					futs = append(futs, sent{f, time.Now()})
-				}
-				pc.Flush()
-				for _, s := range futs {
-					retire(s)
-				}
-				futs = futs[:0]
-				locks[i].Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	res, err := loadgen.Sparse(conns, active, b.N, func(w *loadgen.Worker) func(conn, n int) error {
+		gets := workload.NewGenerator(workload.Config{Keys: nKeys, Mix: workload.MixYCSBC, Seed: uint64(w.ID + 1)})
+		d := loadgen.NewDriver(w, gets, win, len(val), 0, 0)
+		return func(conn, n int) error { return d.Drive(pcs[conn], n) }
+	})
 	b.StopTimer()
+	if err != nil {
+		b.Fatal(err)
+	}
 
 	goroutines := runtime.NumGoroutine()
 	var ms runtime.MemStats
@@ -180,32 +100,23 @@ func benchSparseConns(b *testing.B, tr string, conns int) {
 		leased = m["mutps_net_leased_buffer_bytes"]
 		idle = m["mutps_net_idle_conns"]
 	}
-	opsPerSec := float64(b.N) / elapsed.Seconds()
-	b.ReportMetric(opsPerSec, "ops/s")
+	b.ReportMetric(float64(b.N)/res.Elapsed.Seconds(), "ops/s")
 	b.ReportMetric(float64(goroutines), "goroutines")
 	b.ReportMetric(leased/1024, "leased-KiB")
 	b.ReportMetric(float64(ms.HeapInuse)/(1<<20), "heap-MiB")
 
-	snap := hist.Snapshot()
 	if out := os.Getenv("BENCH_NET_OUT"); out != "" && b.N > 1 {
-		rec := benchfmt.New("BenchmarkSparseConns")
-		rec.Config = map[string]any{
+		appendBenchRecord(b, out, res.Record("BenchmarkSparseConns", map[string]any{
 			"transport": tr,
 			"conns":     conns,
 			"active":    active,
 			"inflight":  win,
-		}
-		rec.Ops = uint64(b.N)
-		rec.OpsPerSec = opsPerSec
-		rec.P50Ns = float64(snap.Quantile(0.50))
-		rec.P99Ns = float64(snap.Quantile(0.99))
-		rec.Extra = map[string]any{
+		}, map[string]any{
 			"goroutines":      goroutines,
 			"leased_bytes":    leased,
 			"idle_conns":      idle,
 			"heap_inuse":      ms.HeapInuse,
 			"client_overhead": conns, // ~1 client goroutine per conn rides in `goroutines`
-		}
-		appendBenchRecord(b, out, rec)
+		}))
 	}
 }

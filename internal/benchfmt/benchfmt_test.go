@@ -1,11 +1,40 @@
 package benchfmt
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
+
+// TestReadFileArgs validates the artifacts named on the command line
+// (go test ./internal/benchfmt -run TestReadFileArgs -args a.json b.json),
+// so a script can hold what a command emitted to the reader's rules. Each
+// file must parse and hold at least one record.
+func TestReadFileArgs(t *testing.T) {
+	if flag.NArg() == 0 {
+		t.Skip("no artifact paths after -args")
+	}
+	for _, path := range flag.Args() {
+		recs, err := ReadFile(path)
+		if err != nil || len(recs) == 0 {
+			t.Errorf("%s: %d records, %v", path, len(recs), err)
+		}
+		t.Logf("%s: %d records, bench %q, config %v, extra %v", filepath.Base(path), len(recs),
+			recs[0].Bench, sortedKeys(recs[0].Config), sortedKeys(recs[0].Extra))
+	}
+}
+
+func sortedKeys(m map[string]any) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
 
 func TestAppendReadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Prints the two size numbers ROADMAP.md tracks: lines of non-test Go
-# outside benchmark/ (tracked files only), and how many flags each
-# command registers.
+# Prints the size numbers ROADMAP.md tracks: lines of non-test Go outside
+# benchmark/ (tracked files only), lines of the load generator's main.go,
+# and how many flags each command registers.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 echo "non-test Go lines outside benchmark/: $(git ls-files '*.go' | grep -v -e '_test\.go$' -e '^benchmark/' | xargs cat | wc -l)"
+echo "cmd/mutps-loadgen/main.go lines: $(wc -l <cmd/mutps-loadgen/main.go)"
 for cmd in cmd/*/; do
 	# -h exits 2 after printing usage; grep -c exits 1 on a count of 0.
 	echo "$(basename "$cmd") flags: $( (go run "./$cmd" -h 2>&1 || true) | grep -c '^  -' || true)"
