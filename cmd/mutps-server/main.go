@@ -52,9 +52,7 @@ func main() {
 	defaultTTL := flag.Duration("default-ttl", 0,
 		"TTL applied to puts that carry no explicit TTL, e.g. 10m (0 = never expire)")
 	transport := flag.String("transport", "",
-		"connection transport: goroutine (portable, one goroutine per connection) or epoll (Linux event loops, idle connections cost ~0); empty honors MUTPS_TRANSPORT then defaults to goroutine")
-	eventLoops := flag.Int("event-loops", 0,
-		"epoll transport: number of event-loop shards, each one epoll instance + SO_REUSEPORT listener + completer goroutine (0 = GOMAXPROCS, capped at 32)")
+		"where an idle connection waits: goroutine (portable, in its two goroutines) or epoll (Linux: parked in one epoll set, costing a descriptor and no goroutine or buffer); empty honors MUTPS_TRANSPORT then defaults to goroutine")
 	autotune := flag.Bool("autotune", false,
 		"run the closed-loop auto-tuner: sample throughput and mean latency every 100ms and, on the first window more than 25% off the moving baseline, re-search the thread split and hot-set size online (10ms probes, at most one search per 3s, winner kept only above 5% gain), without pausing traffic")
 	tunerPriors := flag.String("tuner-priors", "",
@@ -109,15 +107,11 @@ func main() {
 		// pins at 0).
 		store.StartRefresher(100 * time.Millisecond)
 	}
-	// ListenAndServe owns socket creation so the epoll transport can open
-	// its SO_REUSEPORT-sharded listeners; the goroutine transport (or a
-	// non-Linux build) gets a plain listener on the same address.
 	srv, err := netserver.ListenAndServe(store, *addr, netserver.Config{
 		IdleTimeout: *idleTimeout,
 		MaxConns:    *maxConns,
 		MaxInflight: *inflight,
 		Transport:   *transport,
-		EventLoops:  *eventLoops,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -2,22 +2,21 @@
 //
 // The slab arena (arena.go) backs item VALUES — word arrays owned by the
 // store for an item's whole lifetime. The Leaser backs the transient
-// buffers around a request: read staging, decoded put payloads, get
-// destination buffers, and coalesced response chains. Their lifetime is
-// the inverse of an item's: microseconds while a request is in flight,
-// then back to the pool — and, critically, an idle connection holds none
-// at all. That inversion is what makes a million mostly-idle connections
-// affordable: buffer memory is proportional to the number of requests in
-// flight, not the number of sockets open.
+// buffers around a request: decoded put payloads and get destination
+// buffers. Their lifetime is the inverse of an item's: microseconds while
+// a request is in flight, then back to the pool — and, critically, an
+// idle connection holds none at all. That inversion is what makes a
+// million mostly-idle connections affordable: buffer memory is
+// proportional to the number of requests in flight, not the number of
+// sockets open.
 //
 // The design mirrors the arena's size-classed central lists without the
 // per-worker caches: leases happen once per request burst (not once per
-// op), so a mutex per class is cheap, and the transports that call it are
-// a small fixed pool of event-loop goroutines, not hundreds of workers.
-// Each class retains at most classRetain free buffers; beyond that,
-// returned buffers are dropped to the garbage collector, so a burst of
-// activity cannot permanently inflate the pool (the arena's grow-only
-// policy is right for items, wrong for connection buffers).
+// op), so a mutex per class is cheap. Each class retains at most
+// classRetain free buffers; beyond that, returned buffers are dropped to
+// the garbage collector, so a burst of activity cannot permanently inflate
+// the pool (the arena's grow-only policy is right for items, wrong for
+// connection buffers).
 package arena
 
 import (
@@ -30,10 +29,10 @@ const (
 	// LeaseMinBytes .. LeaseMaxBytes bound the lease size classes
 	// (power-of-two: 512 B, 1 KiB, ..., 64 KiB). Larger requests fall back
 	// to the Go allocator and are never pooled.
-	LeaseMinBytes  = 512
-	LeaseMaxBytes  = 64 << 10
-	leaseClasses   = 8
-	leaseMinShift  = 9 // log2(LeaseMinBytes)
+	LeaseMinBytes = 512
+	LeaseMaxBytes = 64 << 10
+	leaseClasses  = 8
+	leaseMinShift = 9 // log2(LeaseMinBytes)
 
 	// classRetain caps the free buffers kept per class: the pool holds at
 	// most classRetain × classBytes resident per class when fully idle.

@@ -24,7 +24,10 @@ import (
 // Run in-process, so the goroutine count and heap include the client side
 // (one pipelined client per connection, ~1 goroutine and a small bufio
 // each); that cost is identical across transports, so the *difference*
-// between the goroutine and epoll rows isolates the server transport.
+// between the goroutine and epoll rows isolates the server transport:
+// two goroutines per connection on goroutine, on epoll the lot's one plus
+// two per connection that sent something in the last millisecond — read
+// the goroutines metric against conns + 2×active + 8.
 // Client and server split the fd budget in one process (2 fds/conn), so
 // tiers the RLIMIT_NOFILE can't cover skip; the canonical 10k-conn
 // numbers are measured out-of-process by mutps-loadgen -conns (see
@@ -99,6 +102,9 @@ func benchSparseConns(b *testing.B, tr string, conns int) {
 		m := store.Metrics().SnapshotMap()
 		leased = m["mutps_net_leased_buffer_bytes"]
 		idle = m["mutps_net_idle_conns"]
+		// Pipeline starts per request: 1/32 is one per burst, toward 1 the
+		// park policy thrashes. Zero on the goroutine transport.
+		b.ReportMetric(m["mutps_net_activations_total"]/m["mutps_net_ops_retired_total"], "activations/op")
 	}
 	b.ReportMetric(float64(b.N)/res.Elapsed.Seconds(), "ops/s")
 	b.ReportMetric(float64(goroutines), "goroutines")

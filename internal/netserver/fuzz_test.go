@@ -2,9 +2,15 @@ package netserver
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
+	"net"
 	"runtime"
 	"testing"
+	"time"
+
+	"mutps/internal/kvcore"
 )
 
 // hostileCount is a payload whose entry count claims 2^32-1 entries and
@@ -147,6 +153,109 @@ func FuzzDecodeStats2(f *testing.F) {
 			if v2, ok := m2[name]; !ok || math.Float64bits(v) != math.Float64bits(v2) {
 				t.Fatalf("entry %q changed across encode/decode", name)
 			}
+		}
+	})
+}
+
+// FuzzServerFrames fuzzes the one server-side frame decoder (readLoop and
+// fill) from the wire: an arbitrary byte stream sent to a live server in
+// arbitrary pieces is answered exactly like the same stream sent in one
+// write, with one response per complete frame up to the first whose length
+// is over the limit — that one is answered "payload too large" and ends the
+// connection — and the connection leaves no leased byte behind. The store
+// is read-only for the run (submitHook refuses writes and stats), so what a
+// frame is answered depends on nothing but the frame. MUTPS_TRANSPORT picks
+// the transport; CI runs both.
+func FuzzServerFrames(f *testing.F) {
+	store, err := kvcore.Open(kvcore.Config{Engine: kvcore.Hash, Workers: 3, CRWorkers: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for k := uint64(0); k < 256; k++ {
+		store.Preload(k, bytes.Repeat([]byte{byte(k)}, int(k)))
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv := ServeConfig(store, ln, Config{})
+	readOnly := func(op byte, key uint64) error {
+		switch op {
+		case OpPut, OpPutTTL, OpDelete, OpStats2:
+			return errors.New("read-only")
+		}
+		return nil
+	}
+	submitHook.Store(&readOnly)
+	f.Cleanup(func() {
+		submitHook.Store(nil)
+		srv.Close()
+		store.Close()
+	})
+
+	// TestMalformedFrameRejected's two cases, then frames that decode.
+	unknown := reqFrame(200, 0, nil)
+	oversized := reqFrame(OpPut, 7, nil)
+	binary.LittleEndian.PutUint32(oversized[9:13], maxPayload+1)
+	f.Add(unknown, []byte{5})
+	f.Add(append(bytes.Clone(unknown), oversized...), []byte{13, 20})
+	valid := append(reqFrame(OpGet, 3, nil), reqFrame(OpPut, 9, []byte("value"))...)
+	valid = append(valid, reqFrame(OpMGet, 0, AppendMGetRequest(nil, []uint64{1, 999, 2}))...)
+	valid = append(valid, reqFrame(OpScan, 0, []byte{4, 0, 0, 0})...)
+	f.Add(valid, []byte{1, 12, 3, 40})
+	f.Add(append(valid, oversized[:9]...), []byte{200}) // ends mid-header
+
+	f.Fuzz(func(t *testing.T, stream, steps []byte) {
+		// What the stream holds, by a parser that shares nothing with the
+		// server's: complete frames, up to an oversized one.
+		frames, fatal := 0, false
+		for b := stream; len(b) >= 13 && !fatal; frames++ {
+			plen := binary.LittleEndian.Uint32(b[9:13])
+			if fatal = plen > maxPayload; !fatal {
+				if uint64(len(b)-13) < uint64(plen) {
+					break
+				}
+				b = b[13+plen:]
+			}
+		}
+		var cuts []int
+		for off, i := 0, 0; i < len(steps) && i < 8; i++ {
+			if off += 1 + int(steps[i]); off >= len(stream) {
+				break
+			}
+			cuts = append(cuts, off)
+		}
+		// The first pause straddles the park decision, the rest only keep
+		// the pieces from coalescing.
+		pauses := 0
+		pause := func() time.Duration {
+			if pauses++; pauses == 1 {
+				return 3 * parkAfter
+			}
+			return 50 * time.Microsecond
+		}
+		addr := srv.Addr().String()
+		want := converse(t, addr, stream, nil, nil)
+		got := converse(t, addr, stream, cuts, pause)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("cut at %v: %d response bytes differ from the %d of one write", cuts, len(got), len(want))
+		}
+		n, last := 0, []byte(nil)
+		for b := want; len(b) >= 5; n++ {
+			end := 5 + int(binary.LittleEndian.Uint32(b[1:5]))
+			if end > len(b) {
+				t.Fatalf("response %d is cut short", n)
+			}
+			last, b = b[:end], b[end:]
+		}
+		if n != frames {
+			t.Fatalf("%d responses to %d frames", n, frames)
+		}
+		if fatal && (last[0] != StatusError || !bytes.Equal(last[5:], errMsgPayloadTooLarge)) {
+			t.Fatalf("oversized frame answered %d %q", last[0], last[5:])
+		}
+		if !eventually(5*time.Second, func() bool { return srv.leaser.LeasedBytes() == 0 }) {
+			t.Fatalf("%d bytes still leased after both connections ended", srv.leaser.LeasedBytes())
 		}
 	})
 }

@@ -128,18 +128,13 @@ type Config struct {
 	// one-op-at-a-time loop; zero or negative means DefaultInflight.
 	MaxInflight int
 
-	// Transport selects the connection-handling tier: TransportGoroutine
-	// (one goroutine per connection; portable default) or TransportEpoll
-	// (a fixed pool of event-loop goroutines over epoll readiness; Linux
+	// Transport says where an idle connection waits: TransportGoroutine
+	// (in its pipeline, two goroutines each; portable default) or
+	// TransportEpoll (parked in one epoll set, no goroutine or buffer; Linux
 	// only — elsewhere it falls back to goroutine). Empty consults the
-	// MUTPS_TRANSPORT environment variable, then defaults to goroutine.
+	// MUTPS_TRANSPORT environment variable, then defaults to goroutine. Any
+	// other name is an error.
 	Transport string
-
-	// EventLoops sets the epoll transport's event-loop goroutine count
-	// (each with its own epoll set and, under ListenAndServe, its own
-	// SO_REUSEPORT listener). Zero or negative picks a default from
-	// GOMAXPROCS. Ignored by the goroutine transport.
-	EventLoops int
 }
 
 // DefaultInflight is the per-connection window used when
@@ -148,14 +143,15 @@ type Config struct {
 // hundreds of connections.
 const DefaultInflight = 128
 
-// Server serves a kvcore store over TCP through one of the pluggable
-// transports (transport.go): it owns the protocol layer, the shared
-// buffer leaser, and the instruments; the transport owns the sockets.
+// Server serves a kvcore store over TCP: it owns the protocol layer, the
+// shared buffer leaser, the pipeline pool and the instruments; its
+// transport (transport.go) owns the sockets.
 type Server struct {
 	store  *kvcore.Store
 	cfg    Config
-	tr     transport
+	tr     *transport
 	leaser *arena.Leaser
+	pipes  sync.Pool // *connPipeline, all of this server's window size
 
 	nextConn  atomic.Uint64
 	openConns *obs.Gauge
@@ -173,9 +169,11 @@ type Server struct {
 	flushBatch *obs.Histogram
 	connParks  *obs.Counter // completion-stage sleeps on a connection bell
 
-	// Event-loop transport instruments (registered lazily by the epoll
-	// transport): responses carried per writev burst.
-	writevBatch *obs.Histogram
+	// Parking-lot instruments: connections waiting in the lot, and
+	// pipelines it has started. Activations over retired ops says whether
+	// the park policy thrashes (1 = a pipeline start per request).
+	parkedConns *obs.Gauge
+	activations *obs.Counter
 }
 
 // window returns the effective per-connection pipelining window.
@@ -218,51 +216,41 @@ func Serve(store *kvcore.Store, ln net.Listener) *Server {
 // servers over one store share series.
 //
 // When the configured transport is epoll (Config.Transport or the
-// MUTPS_TRANSPORT environment variable), the listener's descriptor is
-// adopted into the event loops; if adoption fails (not a *net.TCPListener,
-// or a platform without epoll), the portable goroutine transport serves ln
-// instead — the caller always gets a working server.
+// MUTPS_TRANSPORT environment variable) and it is unsupported here — no
+// epoll on this platform, or ln is not a *net.TCPListener — the goroutine
+// transport serves ln instead: the caller always gets a working server,
+// and Transport reports which. An unknown transport name is not
+// unsupported but wrong, and with no error to return ServeConfig panics on
+// it; ListenAndServe returns it as an error.
 func ServeConfig(store *kvcore.Store, ln net.Listener, cfg Config) *Server {
-	s := newServer(store, cfg)
-	if chooseTransport(cfg) == TransportEpoll {
-		if tr, err := adoptEpollTransport(s, ln); err == nil {
-			s.tr = tr
-			return s
-		}
+	name, err := chooseTransport(cfg)
+	if err != nil {
+		panic(err)
 	}
-	s.tr = newGoroutineTransport(s, ln)
+	s := newServer(store, cfg)
+	s.tr = newTransport(s, ln, name)
 	return s
 }
 
 // ListenAndServe binds addr and serves the store on the configured
-// transport. Unlike ServeConfig it owns socket creation, so the epoll
-// transport gets its full accept path: one SO_REUSEPORT listener per event
-// loop, with the kernel sharding incoming connections across them. On
-// platforms without epoll the goroutine transport serves a plain listener,
-// so the same flags work everywhere.
+// transport, like ServeConfig on a fresh TCP listener. A transport name
+// that is neither goroutine, epoll nor empty is an error.
 func ListenAndServe(store *kvcore.Store, addr string, cfg Config) (*Server, error) {
-	s := newServer(store, cfg)
-	if chooseTransport(cfg) == TransportEpoll {
-		tr, err := newEpollTransport(s, addr)
-		if err == nil {
-			s.tr = tr
-			return s, nil
-		}
-		if !errors.Is(err, errEpollUnsupported) {
-			return nil, err
-		}
-		// No epoll on this platform: fall through and serve portably.
+	name, err := chooseTransport(cfg)
+	if err != nil {
+		return nil, err
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s.tr = newGoroutineTransport(s, ln)
+	s := newServer(store, cfg)
+	s.tr = newTransport(s, ln, name)
 	return s, nil
 }
 
-// newServer builds the transport-independent server core: protocol state,
-// the buffer leaser, and the instrument set shared by both transports.
+// newServer builds the server core: protocol state, the buffer leaser and
+// the instrument set.
 func newServer(store *kvcore.Store, cfg Config) *Server {
 	s := &Server{store: store, cfg: cfg, leaser: arena.NewLeaser()}
 	reg := store.Metrics()
@@ -286,8 +274,10 @@ func newServer(store *kvcore.Store, cfg Config) *Server {
 		"Responses retired in FIFO order by connection completion stages.", latShards)
 	s.flushBatch = reg.Histogram("mutps_net_flush_coalesce", "",
 		"Responses carried by one connection flush (coalesced write syscalls per burst).", latShards)
-	s.writevBatch = reg.Histogram("mutps_net_writev_batch", "",
-		"Responses carried by one cross-connection writev burst (epoll transport).", latShards)
+	s.parkedConns = reg.Gauge("mutps_net_parked_conns", "",
+		"Connections waiting in the epoll transport's parking lot: a descriptor each, no goroutine or buffer.")
+	s.activations = reg.Counter("mutps_net_activations_total", "",
+		"Pipelines the parking lot started for a connection that became readable.", 1)
 	s.connParks = obs.NewCounter(latShards)
 	reg.CounterFunc(kvcore.HandoffParksMetric, `site="conn"`, "",
 		func() float64 { return float64(s.connParks.Value()) })
@@ -298,15 +288,22 @@ func newServer(store *kvcore.Store, cfg Config) *Server {
 }
 
 // Addr returns the listen address.
-func (s *Server) Addr() net.Addr { return s.tr.Addr() }
+func (s *Server) Addr() net.Addr { return s.tr.ln.Addr() }
 
-// Close stops accepting and closes every connection.
+// Close stops accepting, closes every connection and waits for their
+// in-flight store calls (transport.Close has the order). Calling it again
+// is a no-op.
 func (s *Server) Close() error { return s.tr.Close() }
 
 // Transport reports which transport actually serves this server —
 // TransportEpoll only when it was requested and the platform delivered
 // it, so startup logs show the real connection cost model.
-func (s *Server) Transport() string { return s.tr.name() }
+func (s *Server) Transport() string {
+	if s.tr.lot != nil {
+		return TransportEpoll
+	}
+	return TransportGoroutine
+}
 
 // stableStatNames lead every stats2 payload: the store's five headline
 // counters under fixed short names, so a consumer can read them without

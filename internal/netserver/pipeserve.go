@@ -1,13 +1,5 @@
-// Pipelined server-side execution for the goroutine transport: the
-// per-connection serve loop as a submit/complete FSM instead of
-// run-to-completion.
-//
-// The old loop read one frame, blocked on the synchronous store facade,
-// wrote the response, and issued one Flush syscall per reply — so a
-// pipelined client at depth 128 was serialized to depth 1 server-side and
-// the receive ring idled unless the benchmark opened hundreds of
-// connections. This file splits the loop into the same two-stage shape the
-// CR workers already use:
+// The connection engine: one connection's pipelined executor, a
+// submit/complete FSM in the same two-stage shape the CR workers use.
 //
 //	decode stage (readLoop):   read frame → claim a window slot → submit
 //	                           asynchronously via the store's async facade
@@ -21,11 +13,9 @@
 // wedged behind a slow reader — the decode stage stops reading and the
 // client backs up onto TCP flow control, so per-connection server memory
 // is bounded at MaxInflight request/response contexts no matter how fast
-// the client writes. Frame semantics (submit, FIFO retirement, barriers,
-// shed-to-StatusBacklogged) live in the shared protocol layer
-// (protocol.go); this file owns only the goroutine transport's halves of
-// the exchange: blocking reads on one side, bufio-coalesced writes on the
-// other.
+// the client writes. What a frame means (submit, FIFO retirement,
+// barriers, shed-to-StatusBacklogged) is protocol.go; this file moves the
+// bytes: blocking reads on one side, bufio-coalesced writes on the other.
 //
 // Buffer lifetime: slot buffers are leased from the server's arena.Leaser
 // the first time a slot needs them and KEPT while the window is busy (the
@@ -33,14 +23,21 @@
 // buffers back to the pool whenever the window drains — so a connection
 // that goes idle holds no payload or destination buffers at all, no
 // matter how large its bursts were.
+//
+// Pipeline lifetime: a pipeline is ~66 KiB of slots, channels and bufio,
+// so it is drawn from a per-server sync.Pool and returned when run ends.
+// On the goroutine transport that is when the connection ends. Under the
+// parking lot (transport.go) run also ends when the connection goes idle:
+// the pipeline goes back to the pool and the connection back to the lot.
 package netserver
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
-	"sync"
+	"os"
 	"sync/atomic"
 	"time"
 
@@ -59,8 +56,18 @@ type connPipeline struct {
 	r      *bufio.Reader
 	w      *bufio.Writer
 
+	// Decode-stage locals, kept among the fields nobody writes per request
+	// and away from the completion stage's. parks: the connection came out
+	// of the parking lot and goes back when idle, so its read deadline is a
+	// tick (fill).
+	parks   bool
+	quiet   bool      // nothing was read since the last tick
+	frameBy time.Time // IdleTimeout: when the frame being read is overdue
+
+	slots   []netOp     // the window
 	free    chan *netOp // window slots available to the decode stage
-	pending chan *netOp // submitted slots, in request order (the FIFO)
+	pending chan *netOp // submitted slots, in request order (the FIFO); nil ends it
+	wdone   chan struct{}
 
 	// bell is rung by every store call this connection submits when it
 	// completes (protoExec.notify); the completion stage parks on it while
@@ -83,54 +90,97 @@ type connPipeline struct {
 // never trades a syscall for unbounded buffering.
 const pipeWriterBuf = 32 << 10
 
-func newConnPipeline(s *Server, conn net.Conn, connID int) *connPipeline {
-	window := s.window()
-	b := bell.New()
-	p := &connPipeline{
-		s: s, conn: conn, window: window, bell: b,
-		exec:    protoExec{s: s, connID: connID, notify: b},
-		r:       bufio.NewReader(conn),
-		w:       bufio.NewWriterSize(conn, pipeWriterBuf),
-		free:    make(chan *netOp, window),
-		pending: make(chan *netOp, window),
+// parkAfter is the park policy, whole: a connection out of the lot goes
+// back at the first tick of this length in which it sent nothing and at
+// the end of which nothing of its is in flight — so after between one and
+// two ticks of silence. Long enough that a client taking turns with the
+// server over loopback or a rack (one request per round trip) does not
+// park between turns — a park and the activation that undoes it cost an
+// epoll_ctl, a trip through the lot and two goroutine starts, about one
+// loopback round trip — and short enough that a burst that is over gives
+// its pipeline back within a millisecond. Measured flat from 250 µs to
+// 1 ms on the sparse tiers (EXPERIMENTS.md, PR 24); the shorter tick keeps
+// fewer pipelines lingering.
+const parkAfter = 500 * time.Microsecond
+
+// pipeline draws a pipeline for c from the pool.
+func (s *Server) pipeline(c *srvConn, parks bool) *connPipeline {
+	p, _ := s.pipes.Get().(*connPipeline)
+	if p == nil {
+		window := s.window()
+		b := bell.New()
+		p = &connPipeline{
+			s: s, window: window, bell: b,
+			exec:  protoExec{s: s, notify: b},
+			r:     bufio.NewReader(nil),
+			w:     bufio.NewWriterSize(nil, pipeWriterBuf),
+			slots: make([]netOp, window),
+			free:  make(chan *netOp, window),
+			wdone: make(chan struct{}),
+			// One more than the window: the end-of-run nil follows what the
+			// decode stage submitted.
+			pending: make(chan *netOp, window+1),
+		}
+		for i := range p.slots {
+			p.free <- &p.slots[i]
+		}
 	}
-	slots := make([]netOp, window)
-	for i := range slots {
-		p.free <- &slots[i]
-	}
+	p.conn, p.exec.connID, p.parks = c.Conn, c.id, parks
+	p.r.Reset(p.conn)
+	p.w.Reset(p.conn)
 	return p
 }
 
-// run drives both stages and returns when the connection is done: the
-// decode stage exits on read error (connection closed, idle timeout,
-// fatal protocol error), and the completion stage then drains every
-// still-pending slot — waiting out in-flight store calls so their buffers
-// and pooled rpc.Calls are never abandoned mid-use — before returning.
-// Every leased buffer is back in the pool by the time run returns.
-func (p *connPipeline) run() {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		p.writeLoop()
-	}()
-	p.readLoop()
-	close(p.pending)
-	wg.Wait()
-	p.releaseAllBufs()
+// recycle returns a pipeline whose run has ended to the pool. It keeps the
+// slots, channels and bufio buffers; the scan/stats build buffer, which
+// one large response can grow without bound, is let go.
+func (s *Server) recycle(p *connPipeline) {
+	p.conn, p.exec.body = nil, nil
+	p.r.Reset(nil)
+	p.w.Reset(nil)
+	s.pipes.Put(p)
+}
+
+// run drives both stages until the connection is done — read error
+// (closed, idle timeout, fatal protocol error) — or, under the lot, idle.
+// Either way the completion stage first drains every still-pending slot,
+// waiting out in-flight store calls so their buffers and pooled rpc.Calls
+// are never abandoned mid-use, and flushes. When run returns every leased
+// buffer is back in the pool, every slot is in free, and the pipeline can
+// serve another connection. It reports idle only for a connection that can
+// be parked: a failed write closed it.
+func (p *connPipeline) run() (idle bool) {
+	p.dead, p.quiet = false, false
+	go p.writeLoop()
+	idle = p.readLoop()
+	p.pending <- nil
+	<-p.wdone
+	// Both stages have stopped and every slot is home. One may still hold a
+	// lease: the payload of a frame the decode stage gave up on half-read.
+	for i := range p.slots {
+		p.slots[i].releaseBufs(p.s.leaser)
+	}
+	return idle && !p.dead
 }
 
 // readLoop is the decode stage: frame in, window slot claimed, request
-// submitted, slot enqueued for FIFO retirement.
-func (p *connPipeline) readLoop() {
+// submitted, slot enqueued for FIFO retirement. It reports whether it
+// stopped because the connection went idle (fill) rather than ended.
+func (p *connPipeline) readLoop() (idle bool) {
 	s := p.s
+	if p.parks {
+		p.conn.SetReadDeadline(time.Now().Add(parkAfter))
+	}
 	var hdr [13]byte
 	for {
 		if s.cfg.IdleTimeout > 0 {
-			p.conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+			p.frameBy = time.Now().Add(s.cfg.IdleTimeout)
+			if !p.parks {
+				p.conn.SetReadDeadline(p.frameBy)
+			}
 		}
-		if _, err := io.ReadFull(p.r, hdr[:]); err != nil {
-			return
+		if idle, err := p.fill(hdr[:], true); idle || err != nil {
+			return idle
 		}
 		// Claiming the slot is the backpressure point: with the window full
 		// this blocks until the completion stage retires the head, which in
@@ -142,18 +192,18 @@ func (p *connPipeline) readLoop() {
 			e.status, e.msg, e.closeAfter = StatusError, errMsgPayloadTooLarge, true
 			p.track()
 			p.pending <- e
-			return
+			return false
 		}
 		if uint32(cap(e.payload)) < plen {
 			s.leaser.Put(e.payload)
 			e.payload = s.leaser.Get(int(plen))
 		}
 		payload := e.payload[:plen]
-		if _, err := io.ReadFull(p.r, payload); err != nil {
+		if _, err := p.fill(payload, false); err != nil {
 			// Half a frame: no response owed. The slot was never submitted,
 			// so hand it straight back for the teardown sweep to strip.
 			p.free <- e
-			return
+			return false
 		}
 		if !obs.Disabled && latIndex(e.op) >= 0 {
 			e.t0 = time.Now()
@@ -162,8 +212,44 @@ func (p *connPipeline) readLoop() {
 		p.track()
 		p.pending <- e
 		if e.closeAfter {
-			return
+			return false
 		}
+	}
+}
+
+// fill reads len(buf) bytes of a frame. On a connection that parks, the
+// read deadline is not a limit but a tick, parkAfter long, and fill is
+// where the park decision is made: at a tick that finds the connection
+// quiet since the previous one, between frames (frameStart, and nothing of
+// buf read — which also means nothing is buffered, ReadFull drains the
+// bufio first) and with every window slot back in free (nothing in flight,
+// every response encoded; run's join flushes them), it reports idle. Any
+// other tick re-arms and reads on, so a frame dribbled across many ticks
+// decodes as if it had come in one write. The slot count is the pipeline's
+// own state, not an instrument: the decision is the same under obs_off.
+func (p *connPipeline) fill(buf []byte, frameStart bool) (idle bool, err error) {
+	for n := 0; ; {
+		var m int
+		m, err = io.ReadFull(p.r, buf[n:])
+		n += m
+		if m > 0 && p.quiet {
+			p.quiet = false
+		}
+		if err == nil {
+			return false, nil
+		}
+		if !p.parks || !errors.Is(err, os.ErrDeadlineExceeded) {
+			return false, err
+		}
+		now := time.Now()
+		if p.s.cfg.IdleTimeout > 0 && now.After(p.frameBy) {
+			return false, err
+		}
+		if p.quiet && frameStart && n == 0 && len(p.free) == p.window {
+			return true, nil
+		}
+		p.quiet = true
+		p.conn.SetReadDeadline(now.Add(parkAfter))
 	}
 }
 
@@ -186,7 +272,7 @@ func (p *connPipeline) track() {
 // When the window drains it strips every idle slot's leased buffers back
 // to the pool: a connection between bursts costs no buffer memory.
 func (p *connPipeline) writeLoop() {
-	for e := range p.pending {
+	for e := <-p.pending; e != nil; e = <-p.pending {
 		if !e.done() {
 			// The window head hasn't completed: get the already-encoded
 			// burst onto the wire instead of sitting on it, then sleep
@@ -211,6 +297,7 @@ func (p *connPipeline) writeLoop() {
 		}
 	}
 	p.flushResponses()
+	p.wdone <- struct{}{}
 }
 
 // await parks the completion stage on the connection's bell until c is
@@ -249,20 +336,6 @@ func (p *connPipeline) stripIdleBuffers() {
 	}
 }
 
-// releaseAllBufs returns the whole window's buffers after both stages
-// have stopped (run's epilogue): every slot is either in free or was
-// claimed by the dead decode stage, and no store call is in flight.
-func (p *connPipeline) releaseAllBufs() {
-	for {
-		select {
-		case e := <-p.free:
-			e.releaseBufs(p.s.leaser)
-		default:
-			return
-		}
-	}
-}
-
 // writeOut encodes one response into the write buffer unless the
 // transport already failed. A write error marks the connection dead and
 // closes it, which also unblocks the decode stage.
@@ -274,9 +347,6 @@ func (p *connPipeline) writeOut(status byte, body []byte) {
 		p.fail()
 	}
 }
-
-// flushBarrier implements the protocol layer's pre-barrier flush.
-func (p *connPipeline) flushBarrier() { p.flushResponses() }
 
 // flushResponses pushes the coalesced burst to the wire and records how
 // many responses the flush carried.

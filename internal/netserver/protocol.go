@@ -1,30 +1,19 @@
-// The protocol layer of the network server: frame semantics, independent
-// of how bytes arrive and leave.
+// The protocol layer of the network server: what a frame means,
+// independent of how its bytes arrive and leave (DESIGN.md §10).
 //
-// netserver is split into two layers (DESIGN.md §14):
-//
-//   - the TRANSPORT layer owns sockets: connection lifecycle, readiness,
-//     read buffers, and response flushing. Two implementations exist —
-//     the portable goroutine-per-connection transport (transport.go +
-//     pipeserve.go) and the Linux epoll event-loop transport
-//     (epoll_linux.go + completer_linux.go).
-//   - the PROTOCOL layer (this file) owns frames: decoding a request into
-//     a window slot, submitting it through the store's async facade, and
-//     retiring the completed slot into wire bytes, in strict FIFO order.
-//
-// Both transports drive the same protoExec, so the bytes a client
-// observes are identical regardless of transport — the byte-for-byte
-// equivalence the tests pin down. The protocol layer writes responses
-// through the small respWriter interface; a transport decides what
-// "write" and "flush" mean (bufio over a blocking socket, or a leased
-// buffer chain flushed by writev bursts).
+// pipeserve.go moves bytes between the socket and a window of slots; this
+// file decodes a request into a slot, submits it through the store's async
+// facade, and retires the completed slot into wire bytes, in strict FIFO
+// order. There is one of each, so the bytes a client observes cannot
+// depend on the transport: the transports (transport.go) differ only in
+// where an idle connection waits.
 //
 // Buffer discipline: every buffer a slot owns — the decoded put payload,
 // the get destination (rpc Dst), the per-key mget destinations — is
 // leased from the shared arena.Leaser while a request is in flight and
 // returned when the connection's window drains (netOp.releaseBufs). An
-// idle connection therefore holds no buffer memory at all, on either
-// transport; this is what makes 100k mostly-idle connections cost ~0.
+// idle connection therefore holds no buffer memory at all; this is what
+// makes 100k mostly-idle connections cost ~0.
 package netserver
 
 import (
@@ -144,25 +133,13 @@ func (e *netOp) releaseBufs(l *arena.Leaser) {
 	}
 }
 
-// respWriter is how the protocol layer hands a transport one encoded
-// response. writeOut must tolerate a dead peer (swallow and discard);
-// flushBarrier must push every buffered response toward the wire — the
-// protocol calls it before blocking on a barrier op (or before waiting on
-// a window head, via the transports' own completion loops) so responses
-// are never held hostage by a slow operation.
-type respWriter interface {
-	writeOut(status byte, body []byte)
-	flushBarrier()
-}
-
 // protoExec executes decoded frames against the store for one
 // connection: the submit half enters a netOp into the async facade, the
-// retire half resolves it into wire bytes through a respWriter. One
-// protoExec per connection; connID shards the per-op instruments and body
-// is the reusable scan/stats/mget response build buffer. notify, when the
-// transport sets it, is rung by every store call this connection submits
-// as it completes (the goroutine transport's completion stage parks on
-// it); nil leaves completion to rpc.Call.Wait alone.
+// retire half resolves it into wire bytes in the pipeline's write buffer.
+// One protoExec per pipeline; connID shards the per-op instruments and
+// body is the reusable scan/stats/mget response build buffer. notify is
+// the pipeline's bell, rung by every store call this connection submits as
+// it completes; the completion stage parks on it.
 type protoExec struct {
 	s      *Server
 	connID int
@@ -308,9 +285,9 @@ func (x *protoExec) failSubmit(e *netOp, err error) {
 // store call (FIFO means the head must complete before anything later may
 // be written), execute barrier ops inline, or emit the pre-resolved
 // status. The slot's buffers are reusable as soon as this returns — the
-// response bytes have been copied into the transport's write path and the
-// pooled call released.
-func (x *protoExec) retire(e *netOp, w respWriter) {
+// response bytes have been copied into the write buffer and the pooled
+// call released.
+func (x *protoExec) retire(e *netOp, w *connPipeline) {
 	switch {
 	case e.call != nil:
 		c := e.call
@@ -373,7 +350,7 @@ func (x *protoExec) retire(e *netOp, w respWriter) {
 // leads with the remaining TTL in nanoseconds (0 = no expiry) followed by
 // the value. A deadline that passed between the worker's check and encode
 // time retires as StatusExpired rather than shipping a dead value.
-func (x *protoExec) retireGetTTL(c *rpc.Call, w respWriter) {
+func (x *protoExec) retireGetTTL(c *rpc.Call, w *connPipeline) {
 	if !c.Found {
 		if c.Expired {
 			w.writeOut(StatusExpired, nil)
@@ -404,7 +381,7 @@ func (x *protoExec) retireGetTTL(c *rpc.Call, w respWriter) {
 // recirculate the grown destination buffers into the slot. If any submit
 // or call failed, the frame degrades to a single whole-frame status —
 // backlogged when retryable — after every in-flight call has been drained.
-func (x *protoExec) retireMGet(e *netOp, w respWriter) {
+func (x *protoExec) retireMGet(e *netOp, w *connPipeline) {
 	body := append(x.body[:0], 0, 0, 0, 0)
 	binary.LittleEndian.PutUint32(body, uint32(len(e.mcalls)))
 	failed := e.mgetErr
@@ -442,8 +419,8 @@ func (x *protoExec) retireMGet(e *netOp, w respWriter) {
 // so the op observes all prior writes on this connection; responses to
 // already-buffered bursts are flushed first so a slow scan doesn't hold
 // them hostage.
-func (x *protoExec) retireBarrier(e *netOp, w respWriter) {
-	w.flushBarrier()
+func (x *protoExec) retireBarrier(e *netOp, w *connPipeline) {
+	w.flushResponses()
 	switch e.op {
 	case OpStats2:
 		x.body = x.s.appendStats2(x.body[:0])

@@ -1,35 +1,29 @@
-// The transport layer of the network server: who owns sockets and how
-// readiness is discovered. A transport accepts connections, moves bytes,
-// and drives the shared protocol executor (protocol.go); it decides what
-// an idle connection costs.
+// The transport layer of the network server: who owns sockets and what an
+// idle one costs. There is one connection engine — the pipelined executor
+// of pipeserve.go — and one accept loop, MaxConns check, reject path and
+// Close in front of it. The two transport names differ only in where a
+// connection waits while it has nothing to say:
 //
-// Two transports exist:
-//
-//   - goroutine (this file + pipeserve.go): one goroutine per connection
-//     with blocking reads and a per-connection completion goroutine.
-//     Portable everywhere Go runs, simple to reason about — but an idle
-//     connection still costs two goroutines (~8 KB of stack each) plus
-//     bufio buffers, so 100k mostly-idle clients cost hundreds of MB
-//     before a single request arrives.
-//   - epoll (epoll_linux.go): a small fixed pool of event-loop goroutines
-//     doing epoll_wait → nonblocking reads, SO_REUSEPORT-sharded accepts,
-//     and cross-connection writev flush coalescing. An idle connection is
-//     one file descriptor plus a ~200-byte struct: no goroutine, no
-//     buffers (TransportEpoll; Linux only, selected by build tag).
+//   - goroutine: in its pipeline, blocked in a read. Portable; an idle
+//     connection costs two goroutines, a window of slots and its bufio
+//     buffers (~66 KiB with stacks).
+//   - epoll (Linux): in the parking lot (lot_linux.go), as a descriptor
+//     armed in one epoll set. It holds no goroutine, no pipeline and no
+//     buffer; the lot starts a pipeline when the socket becomes readable
+//     and takes the connection back when the pipeline reports it idle.
 //
 // Selection: Config.Transport, or the MUTPS_TRANSPORT environment
-// variable when the config is silent — which is how the full existing
-// test suite (FIFO equivalence, chaos) runs unmodified against the epoll
-// transport in CI. Unknown or unsupported values fall back to goroutine,
-// so binaries stay portable.
+// variable when the config is silent — which is how the whole test suite
+// (FIFO equivalence, chaos) runs unmodified against the lot in CI. A name
+// that is neither is an error; epoll where the platform or the listener
+// cannot deliver it falls back to goroutine, so binaries stay portable.
 package netserver
 
 import (
 	"bufio"
-	"errors"
+	"fmt"
 	"net"
 	"os"
-	"runtime"
 	"sync"
 	"time"
 )
@@ -40,110 +34,121 @@ const (
 	TransportEpoll     = "epoll"
 )
 
-// errEpollUnsupported reports that this platform has no epoll transport
-// (epoll_stub.go); callers fall back to the goroutine transport.
-var errEpollUnsupported = errors.New("netserver: epoll transport requires linux")
-
-// maxEventLoops caps the epoll transport's goroutine pool: each loop runs
-// one event goroutine plus one completer, so the transport never exceeds
-// 2×maxEventLoops goroutines no matter how many connections are open.
-const maxEventLoops = 32
-
-// eventLoopCount resolves Config.EventLoops to the loop-pool size.
-func (s *Server) eventLoopCount() int {
-	n := s.cfg.EventLoops
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
+// chooseTransport resolves the configured transport name: the explicit
+// config wins, then the MUTPS_TRANSPORT environment variable, then the
+// portable default. A name that is not a transport is an error, never a
+// silent goroutine server.
+func chooseTransport(cfg Config) (string, error) {
+	name := cfg.Transport
+	if name == "" {
+		name = os.Getenv("MUTPS_TRANSPORT")
 	}
-	if n > maxEventLoops {
-		n = maxEventLoops
+	switch name {
+	case "":
+		return TransportGoroutine, nil
+	case TransportGoroutine, TransportEpoll:
+		return name, nil
 	}
-	return n
+	return "", fmt.Errorf("netserver: unknown transport %q (want %q or %q)", name, TransportGoroutine, TransportEpoll)
+}
+
+// srvConn is one accepted connection: all a parked connection costs
+// beyond its descriptor.
+type srvConn struct {
+	net.Conn
+	id   int       // shards the per-op instruments
+	park parkState // the lot's per-connection state (lot_linux.go)
 }
 
 // transport is the socket-owning half of the server: it accepts
-// connections, feeds frames through the protocol layer, and reports the
-// listen address. Close stops accepting, closes every connection, and
-// waits for in-flight work to drain.
-type transport interface {
-	Addr() net.Addr
-	Close() error
-	name() string
-}
-
-// chooseTransport resolves the configured transport name: the explicit
-// config wins, then the MUTPS_TRANSPORT environment variable, then the
-// portable default.
-func chooseTransport(cfg Config) string {
-	if cfg.Transport != "" {
-		return cfg.Transport
-	}
-	if env := os.Getenv("MUTPS_TRANSPORT"); env != "" {
-		return env
-	}
-	return TransportGoroutine
-}
-
-// goroutineTransport is the portable goroutine-per-connection transport:
-// an accept loop hands each connection to a serve goroutine running the
-// pipelined executor (pipeserve.go).
-type goroutineTransport struct {
-	s  *Server
-	ln net.Listener
+// connections and runs a pipeline for each one that has something to say.
+type transport struct {
+	s   *Server
+	ln  net.Listener
+	lot *parkingLot // nil on the goroutine transport
 
 	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
+	conns  map[*srvConn]struct{} // every open connection, parked or active
 	closed bool
-	wg     sync.WaitGroup
+	wg     sync.WaitGroup // the accept loop and every running pipeline
 }
 
-func newGoroutineTransport(s *Server, ln net.Listener) *goroutineTransport {
-	t := &goroutineTransport{s: s, ln: ln, conns: map[net.Conn]struct{}{}}
+// newTransport starts serving ln. Under TransportEpoll it opens the lot;
+// where that cannot be done — no epoll on this platform, a listener whose
+// connections expose no descriptor, no descriptor left for the set —
+// connections wait in their pipelines instead and Server.Transport reports
+// goroutine.
+func newTransport(s *Server, ln net.Listener, name string) *transport {
+	t := &transport{s: s, ln: ln, conns: map[*srvConn]struct{}{}}
+	if _, tcp := ln.(*net.TCPListener); tcp && name == TransportEpoll {
+		t.lot = newParkingLot(t)
+	}
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t
 }
 
-// Addr returns the listener address.
-func (t *goroutineTransport) Addr() net.Addr { return t.ln.Addr() }
-
-func (t *goroutineTransport) name() string { return TransportGoroutine }
-
-// Close stops accepting and closes every connection.
-func (t *goroutineTransport) Close() error {
+// Close stops the server in a fixed order: stop accepting; stop the lot,
+// so nothing is activated or parked any more; close the connections that
+// were parked (no goroutine would notice) and settle their gauges; close
+// the active ones, which fails their pipelines' reads; wait for those
+// pipelines to drain their in-flight store calls. A second Close is a
+// no-op.
+func (t *transport) Close() error {
 	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
+		return nil
+	}
 	t.closed = true
+	t.mu.Unlock()
+	err := t.ln.Close()
+	if t.lot != nil {
+		for _, c := range t.lot.stop() {
+			t.drop(c)
+		}
+	}
+	t.mu.Lock()
 	for c := range t.conns {
 		c.Close()
 	}
 	t.mu.Unlock()
-	err := t.ln.Close()
 	t.wg.Wait()
+	// Every pipeline is back in the pool, which would pin them — 66 KiB each
+	// — for two more GC cycles.
+	for t.s.pipes.Get() != nil {
+	}
 	return err
 }
 
-func (t *goroutineTransport) acceptLoop() {
+func (t *transport) acceptLoop() {
 	defer t.wg.Done()
 	for {
-		conn, err := t.ln.Accept()
+		nc, err := t.ln.Accept()
 		if err != nil {
 			return
 		}
 		t.mu.Lock()
 		if t.closed {
 			t.mu.Unlock()
-			conn.Close()
+			nc.Close()
 			return
 		}
 		if t.s.cfg.MaxConns > 0 && len(t.conns) >= t.s.cfg.MaxConns {
 			t.mu.Unlock()
-			t.rejectConn(conn)
+			t.rejectConn(nc)
 			continue
 		}
-		t.conns[conn] = struct{}{}
+		c := &srvConn{Conn: nc, id: int(t.s.nextConn.Add(1))}
+		t.conns[c] = struct{}{}
 		t.mu.Unlock()
-		t.wg.Add(1)
-		go t.serveConn(conn)
+		t.s.openConns.Add(1)
+		t.s.idleConns.Add(1)
+		if t.lot == nil {
+			t.activate(c)
+		} else if !t.lot.park(c) {
+			t.drop(c)
+		}
 	}
 }
 
@@ -151,7 +156,7 @@ func (t *goroutineTransport) acceptLoop() {
 // protocol frame so the client reports "connection limit reached" instead
 // of an opaque EOF. The write gets a short deadline — a rejection must
 // never tie up the accept loop.
-func (t *goroutineTransport) rejectConn(conn net.Conn) {
+func (t *transport) rejectConn(conn net.Conn) {
 	t.s.rejected.Inc(0)
 	conn.SetWriteDeadline(time.Now().Add(time.Second))
 	w := bufio.NewWriter(conn)
@@ -160,25 +165,36 @@ func (t *goroutineTransport) rejectConn(conn net.Conn) {
 	conn.Close()
 }
 
-// serveConn runs one connection's pipelined executor (pipeserve.go): a
-// decode stage that reads frames and submits them asynchronously into the
-// store, and a completion stage that retires responses in FIFO order with
-// coalesced flushes. The connection counts as idle for the idle-conns
-// gauge only between bursts — the pipeline flips it active on the first
-// decoded frame (see track).
-func (t *goroutineTransport) serveConn(conn net.Conn) {
+// activate starts a pipeline for c. Callers are the accept loop, which
+// itself holds a count of wg, and the lot's goroutine, which Close joins
+// before it waits.
+func (t *transport) activate(c *srvConn) {
+	t.wg.Add(1)
+	go t.serve(c)
+}
+
+// serve runs c's pipeline until the connection ends or, under the lot,
+// goes idle and is parked again. The connection counts as idle for the
+// idle-conns gauge from accept to close except while its pipeline has
+// requests in flight (connPipeline.track).
+func (t *transport) serve(c *srvConn) {
 	defer t.wg.Done()
-	s := t.s
-	connID := int(s.nextConn.Add(1))
-	s.openConns.Add(1)
-	s.idleConns.Add(1)
-	defer func() {
-		s.idleConns.Add(-1)
-		s.openConns.Add(-1)
-		t.mu.Lock()
-		delete(t.conns, conn)
-		t.mu.Unlock()
-		conn.Close()
-	}()
-	newConnPipeline(s, conn, connID).run()
+	p := t.s.pipeline(c, t.lot != nil)
+	idle := p.run()
+	t.s.recycle(p)
+	if !idle || !t.lot.park(c) {
+		t.drop(c)
+	}
+}
+
+// drop closes c and forgets it. Exactly one owner calls it: the serve
+// goroutine of an active connection, or whoever took a parked one out of
+// the lot.
+func (t *transport) drop(c *srvConn) {
+	t.mu.Lock()
+	delete(t.conns, c)
+	t.mu.Unlock()
+	c.Close()
+	t.s.idleConns.Add(-1)
+	t.s.openConns.Add(-1)
 }

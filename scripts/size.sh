@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
 # Prints the size numbers ROADMAP.md tracks: lines of non-test Go outside
-# benchmark/ (tracked files only), lines of the load generator's main.go,
-# and how many flags each command registers.
+# benchmark/ (tracked files only), of internal/netserver and of its
+# Linux-only files, lines of the load generator's main.go, and how many
+# flags each command registers.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 echo "non-test Go lines outside benchmark/: $(git ls-files '*.go' | grep -v -e '_test\.go$' -e '^benchmark/' | xargs cat | wc -l)"
+nontest() { git ls-files "$@" | grep -v '_test\.go$' | xargs -r cat | wc -l; }
+echo "internal/netserver non-test lines: $(nontest 'internal/netserver/*.go')"
+echo "internal/netserver *_linux.go non-test lines: $(nontest 'internal/netserver/*_linux.go')"
 echo "cmd/mutps-loadgen/main.go lines: $(wc -l <cmd/mutps-loadgen/main.go)"
 for cmd in cmd/*/; do
 	# -h exits 2 after printing usage; grep -c exits 1 on a count of 0.
