@@ -188,18 +188,11 @@ func BenchmarkStoreGetIntoHash(b *testing.B) {
 // BenchmarkStorePutHash is the write-heavy gate: every put replaces the
 // item (the value length alternates between 24 and 28 bytes, both in the
 // 32-byte size class), so the benchmark measures the full item-replacement
-// path — allocate, index swap, retire, reclaim. With the arena on the
-// steady state is 0 allocs/op; GC cycles per second are reported so arena
-// runs can be compared against -arena-off runs with one command.
+// path — allocate, index swap, retire, reclaim. The steady state is
+// 0 allocs/op; GC cycles per second are reported beside it (the pre-arena
+// comparison is EXPERIMENTS.md PR 5).
 func BenchmarkStorePutHash(b *testing.B) {
 	benchmarkStorePutHash(b, Options{Engine: Hash, Workers: 4, RefreshInterval: -1})
-}
-
-// BenchmarkStorePutHashNoArena is the same workload with the slab arena
-// disabled (every replacement hits the Go allocator) — the before side of
-// the EXPERIMENTS.md comparison.
-func BenchmarkStorePutHashNoArena(b *testing.B) {
-	benchmarkStorePutHash(b, Options{Engine: Hash, Workers: 4, RefreshInterval: -1, ArenaOff: true})
 }
 
 func benchmarkStorePutHash(b *testing.B, o Options) {

@@ -76,12 +76,9 @@ func main() {
 		log.Fatalf("unknown engine %q (want hash or tree)", *engine)
 	}
 	l, err := cluster.LaunchLocal(*shards, cluster.LocalOptions{
-		Engine:    eng,
-		Workers:   *workers,
-		CRWorkers: *cr,
-		HotItems:  *hot,
-		Inflight:  *inflight,
-		Addrs:     addrs,
+		Config:   kvcore.Config{Engine: eng, Workers: *workers, CRWorkers: *cr, HotItems: *hot},
+		Inflight: *inflight,
+		Addrs:    addrs,
 	})
 	if err != nil {
 		log.Fatal(err)

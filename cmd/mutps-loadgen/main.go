@@ -248,8 +248,8 @@ func serverStats(addr string, opTimeout time.Duration) map[string]float64 {
 // run: the client side from this process's MemStats delta, the server
 // side (when available) from the mutps_go_* runtime metrics delta plus
 // the arena's retire/recycle counters. This is the operational readout
-// of the GC-quiet write path — a server running with the arena shows
-// near-zero GC cycles per second here; -arena-off shows the difference.
+// of the GC-quiet write path: near-zero server GC cycles per second under
+// replacement-heavy puts.
 func printAllocSummary(out io.Writer, ops uint64, elapsed time.Duration,
 	before, after *runtime.MemStats, srvBefore, srvAfter map[string]float64) {
 	if ops == 0 {

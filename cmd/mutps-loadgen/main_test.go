@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mutps/internal/cluster"
+	"mutps/internal/kvcore"
 	"mutps/internal/obs"
 )
 
@@ -39,7 +40,7 @@ func TestIssuesEveryOpAndEveryTraceLine(t *testing.T) {
 	if obs.Disabled {
 		t.Skip("counts come from the obs instruments")
 	}
-	l, err := cluster.LaunchLocal(1, cluster.LocalOptions{})
+	l, err := cluster.LaunchLocal(1, cluster.LocalOptions{Config: kvcore.Config{Workers: 4, CRWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
-	"time"
 
 	"mutps/internal/kvcore"
 	"mutps/internal/netserver"
@@ -37,10 +36,6 @@ func main() {
 		"cap on concurrently served connections; over-cap clients get a graceful error reply (0 = unlimited)")
 	inflight := flag.Int("inflight", 0,
 		"per-connection pipelining window: requests decoded but not yet answered (0 = default, 1 = synchronous)")
-	arenaOff := flag.Bool("arena-off", false,
-		"disable the slab arena: items allocate on the Go heap and replaced items are left to the garbage collector")
-	arenaChunk := flag.Int("arena-chunk", 0,
-		"arena backing-chunk size in bytes (0 = default 256KiB)")
 	memBudget := flag.String("memory-budget", "",
 		"arena live-byte budget with optional K/M/G suffix, e.g. 512M; when crossed, the coldest items are evicted (empty = unbounded)")
 	coldDir := flag.String("cold-dir", "",
@@ -78,12 +73,10 @@ func main() {
 	}
 
 	store, err := kvcore.Open(kvcore.Config{
-		Engine:     eng,
-		Workers:    *workers,
-		CRWorkers:  *cr,
-		HotItems:   *hot,
-		ArenaOff:   *arenaOff,
-		ArenaChunk: *arenaChunk,
+		Engine:    eng,
+		Workers:   *workers,
+		CRWorkers: *cr,
+		HotItems:  *hot,
 
 		MemoryBudget:           budget,
 		ColdDir:                *coldDir,
@@ -101,12 +94,6 @@ func main() {
 	// Runtime GC signals ride the same registry, so a before/after arena
 	// comparison reads straight off /metrics (and the stats op).
 	obs.RegisterRuntimeMetrics(store.Metrics())
-	if *hot > 0 {
-		// Without the refresher the hot set never populates and the
-		// cache-resident layer serves nothing (mutps_hotset_hit_ratio
-		// pins at 0).
-		store.StartRefresher(100 * time.Millisecond)
-	}
 	srv, err := netserver.ListenAndServe(store, *addr, netserver.Config{
 		IdleTimeout: *idleTimeout,
 		MaxConns:    *maxConns,

@@ -27,6 +27,8 @@ func main() {
 		Workers:   4,
 		CRWorkers: 2,
 		HotItems:  2048,
+
+		RefreshInterval: 20 * time.Millisecond,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -37,7 +39,6 @@ func main() {
 	for i := uint64(0); i < keys; i++ {
 		store.Preload(i, []byte("initial0"))
 	}
-	store.StartRefresher(20 * time.Millisecond)
 
 	// Background load: skewed YCSB-B.
 	var stop atomic.Bool

@@ -36,7 +36,7 @@ func BenchmarkClusterGets(b *testing.B) {
 	for _, shards := range []int{1, 2} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			l, err := cluster.LaunchLocal(shards, cluster.LocalOptions{
-				Engine: kvcore.Hash, Workers: 4, CRWorkers: 2,
+				Config: kvcore.Config{Engine: kvcore.Hash, Workers: 4, CRWorkers: 2, HotItems: 4096},
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"mutps/internal/kvcore"
 	"mutps/internal/netserver"
 	"mutps/internal/obs"
 )
@@ -23,7 +24,7 @@ func launch(t *testing.T, n int) (*Local, *Client) {
 
 func launchCfg(t *testing.T, n int, cfg Config) (*Local, *Client) {
 	t.Helper()
-	l, err := LaunchLocal(n, LocalOptions{Workers: 3, CRWorkers: 1})
+	l, err := LaunchLocal(n, LocalOptions{Config: kvcore.Config{Workers: 3, CRWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func keysOn(c *Client, si, n int) []uint64 {
 // healthy shard's and the rejecting shard's connections both stay in sync
 // for the calls that follow.
 func TestClusterMGetRejectedFrame(t *testing.T) {
-	l, err := LaunchLocal(1, LocalOptions{Workers: 3, CRWorkers: 1})
+	l, err := LaunchLocal(1, LocalOptions{Config: kvcore.Config{Workers: 3, CRWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +329,7 @@ func TestClusterMGetSendFailureDrains(t *testing.T) {
 // tracker, which must find large keys via the miss-probe path.
 func TestSizeAwarePlacement(t *testing.T) {
 	const nShards = 3
-	l, err := LaunchLocal(nShards, LocalOptions{Workers: 3, CRWorkers: 1})
+	l, err := LaunchLocal(nShards, LocalOptions{Config: kvcore.Config{Workers: 3, CRWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

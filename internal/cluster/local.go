@@ -8,15 +8,14 @@ import (
 	"mutps/internal/netserver"
 )
 
-// LocalOptions configures the stores behind an in-process local cluster.
-// Zero values take the kvcore defaults.
+// LocalOptions configures an in-process local cluster: every shard's store
+// is opened with Config as it stands (kvcore.Open's validation and
+// defaults, so Workers and CRWorkers are required and HotItems > 0 runs
+// the hot-set refresher).
 type LocalOptions struct {
-	Engine    kvcore.Engine
-	Workers   int
-	CRWorkers int
-	HotItems  int
-	Inflight  int // per-connection server window
-	Addrs     []string
+	kvcore.Config
+	Inflight int      // per-connection server window
+	Addrs    []string // listen address per shard (empty = ephemeral loopback ports)
 }
 
 // Local is an in-process shard set: N independent stores, each behind its
@@ -40,20 +39,9 @@ func LaunchLocal(n int, opt LocalOptions) (*Local, error) {
 	if len(opt.Addrs) != 0 && len(opt.Addrs) != n {
 		return nil, fmt.Errorf("cluster: %d addrs for %d shards", len(opt.Addrs), n)
 	}
-	if opt.Workers == 0 {
-		opt.Workers = 4
-	}
-	if opt.CRWorkers == 0 {
-		opt.CRWorkers = 1
-	}
 	l := &Local{}
 	for i := 0; i < n; i++ {
-		store, err := kvcore.Open(kvcore.Config{
-			Engine:    opt.Engine,
-			Workers:   opt.Workers,
-			CRWorkers: opt.CRWorkers,
-			HotItems:  opt.HotItems,
-		})
+		store, err := kvcore.Open(opt.Config)
 		if err != nil {
 			l.Close()
 			return nil, err

@@ -12,7 +12,6 @@ func TestEvictionVetoesHotSetAdmission(t *testing.T) {
 		c.Workers = 2
 		c.CRWorkers = 1
 		c.HotItems = 16
-		c.SampleEvery = 1 // track every access: deterministic heat
 	})
 	val := make([]byte, 64)
 	for k := uint64(1); k <= 64; k++ {

@@ -20,6 +20,8 @@ func openAllocStore(t *testing.T, hotItems int) *Store {
 		Workers:   3,
 		CRWorkers: 1,
 		HotItems:  hotItems,
+
+		RefreshInterval: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

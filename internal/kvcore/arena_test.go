@@ -227,33 +227,3 @@ func TestEpochReclamationStress(t *testing.T) {
 		t.Errorf("retired %d != recycled %d after Close", retired, rec)
 	}
 }
-
-// TestArenaOffMatchesSemantics runs the same churn shape with the arena
-// disabled: the escape hatch must stay semantically identical.
-func TestArenaOffMatchesSemantics(t *testing.T) {
-	s, err := Open(Config{
-		Engine:    Hash,
-		Workers:   3,
-		CRWorkers: 1,
-		HotItems:  16,
-		ArenaOff:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	var v [24]byte
-	for i := 0; i < 500; i++ {
-		k := uint64(i % 16)
-		binary.LittleEndian.PutUint64(v[:], k)
-		if err := s.Put(k, v[:8+(i%3)*8]); err != nil {
-			t.Fatal(err)
-		}
-		if got, ok, _ := s.Get(k); !ok || binary.LittleEndian.Uint64(got) != k {
-			t.Fatalf("get(%d) = %x, %v", k, got, ok)
-		}
-	}
-	if s.RetiredPending() != 0 {
-		t.Error("arena-off store tracked retirements")
-	}
-}

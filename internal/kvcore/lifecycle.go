@@ -82,8 +82,8 @@ func (s *Store) WalkItems(f func(key uint64, bytes int, hot uint32, expired bool
 		}
 		return f(key, b, s.cms.Estimate(key), it.Expired(now))
 	}
-	s.epochEnter(s.evictorSlot())
-	defer s.epochExit(s.evictorSlot())
+	s.dom.Enter(s.evictorSlot())
+	defer s.dom.Exit(s.evictorSlot())
 	if r, ok := s.idx.(interface {
 		Range(func(uint64, *seqitem.Item) bool)
 	}); ok {
@@ -276,9 +276,7 @@ func (s *Store) lazyExpire(w int, key uint64, it *seqitem.Item) {
 		return
 	}
 	s.idx.Delete(key)
-	if s.dom != nil {
-		s.retire(w, cur)
-	}
+	s.retire(w, cur)
 	if s.cold != nil {
 		s.cold.Delete(key)
 	}

@@ -260,8 +260,8 @@ func TestLifecycleChurnStress(t *testing.T) {
 		c.EvictInterval = time.Millisecond
 		c.ColdDir = t.TempDir()
 		c.HotItems = 64
+		c.RefreshInterval = 5 * time.Millisecond
 	})
-	s.StartRefresher(5 * time.Millisecond)
 	const keys = 512
 	dur := 300 * time.Millisecond
 	if testing.Short() {

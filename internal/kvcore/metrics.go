@@ -212,12 +212,10 @@ func (s *Store) registerDerived() {
 		func() float64 { return float64(s.nCR.Load()) })
 	r.GaugeFunc("mutps_workers", `layer="mr"`,
 		"", func() float64 { return float64(s.cfg.Workers - int(s.nCR.Load())) })
-	if s.arena != nil {
-		r.GaugeFunc("mutps_items_retired_pending", "",
-			"Items retired and not yet past their reclamation grace periods.",
-			func() float64 { return float64(s.retiredPend.Load()) })
-		s.arena.Instrument(r)
-	}
+	r.GaugeFunc("mutps_items_retired_pending", "",
+		"Items retired and not yet past their reclamation grace periods.",
+		func() float64 { return float64(s.retiredPend.Load()) })
+	s.arena.Instrument(r)
 	if s.cold != nil {
 		r.GaugeFunc("mutps_cold_hit_ratio", "",
 			"Cold-tier hits over RAM-miss gets that consulted the cold tier.",

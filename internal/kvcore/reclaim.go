@@ -106,9 +106,6 @@ func (s *Store) retire(w int, it *seqitem.Item) {
 // the request path right after the epoch section closes, so the pass
 // observes a frontier its own reader slot no longer pins.
 func (s *Store) maybeReclaim(w int) {
-	if s.dom == nil {
-		return
-	}
 	if rq := s.retq[w]; rq.ops >= reclaimEvery {
 		rq.ops = 0
 		s.reclaim(w)
@@ -186,15 +183,12 @@ func (s *Store) recycle(w int, it *seqitem.Item) {
 }
 
 // reclaimTick is the idle/periodic hook: cheap when there is nothing to
-// do, a bounded pass otherwise. Gated on the arena being enabled. It
-// reports whether the pass made progress: an idle worker keeps passing
-// while it does and parks when it does not — what is left then waits on a
-// reader section elsewhere or on the next hot-set install, and the worker's
-// next wake-up (RefreshHotSet rings every worker after an install) retries.
+// do, a bounded pass otherwise. It reports whether the pass made progress:
+// an idle worker keeps passing while it does and parks when it does not —
+// what is left then waits on a reader section elsewhere or on the next
+// hot-set install, and the worker's next wake-up (RefreshHotSet rings every
+// worker after an install) retries.
 func (s *Store) reclaimTick(w int) bool {
-	if s.dom == nil {
-		return false
-	}
 	s.retq[w].ops = 0
 	return s.reclaim(w)
 }
@@ -204,9 +198,6 @@ func (s *Store) reclaimTick(w int) bool {
 // readers left, every grace period is trivially satisfied, so a closed
 // store leaks no arena slots.
 func (s *Store) drainRetired() {
-	if s.dom == nil {
-		return
-	}
 	for w, rq := range s.retq {
 		for rq.q0.len() > 0 {
 			s.recycle(w, rq.q0.pop().it)
@@ -231,28 +222,9 @@ func (s *Store) drainRetired() {
 	s.preMu.Unlock()
 }
 
-// newItem allocates an item for worker w: pool-backed when the arena is
-// on, plain heap otherwise.
+// newItem allocates an item for worker w from its pool.
 func (s *Store) newItem(w int, val []byte) *seqitem.Item {
-	if s.pools == nil {
-		return seqitem.New(val)
-	}
 	return seqitem.NewIn(s.pools[w], val)
-}
-
-// epochEnter/epochExit bracket an item-reading section for reader slot r
-// (workers use their id; the refresher uses slot cfg.Workers). No-ops
-// when the arena — and with it, item reclamation — is off.
-func (s *Store) epochEnter(r int) {
-	if s.dom != nil {
-		s.dom.Enter(r)
-	}
-}
-
-func (s *Store) epochExit(r int) {
-	if s.dom != nil {
-		s.dom.Exit(r)
-	}
 }
 
 // RetiredPending reports items retired and not yet recycled (also

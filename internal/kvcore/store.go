@@ -19,38 +19,53 @@ import (
 	"mutps/internal/workload"
 )
 
-// Config describes a Store. Zero fields take documented defaults.
+// Config describes a Store: the one struct every way of opening a store
+// fills in (mutps.Options is an alias for it, cluster.LocalOptions embeds
+// it, mutps-server's flags map onto it). Open rejects an invalid Workers/
+// CRWorkers pair; every other zero field takes the default stated here,
+// applied in applyDefaults and nowhere else.
 type Config struct {
-	Engine    Engine
-	Workers   int // total worker goroutines (>= 2)
-	CRWorkers int // initially at the cache-resident layer (1..Workers-1)
+	// Engine selects μTPS-H (Hash, the zero value) or μTPS-T (Tree).
+	Engine Engine
+	// Workers is the total worker-goroutine count (≥ 2: one per layer).
+	Workers int
+	// CRWorkers is the initial cache-resident layer size, in
+	// [1, Workers-1]. Adjust at runtime with SetSplit.
+	CRWorkers int
 
-	BatchSize    int // CR→MR requests per ring slot (default 8)
+	BatchSize    int // CR→MR requests per ring slot (default 8, max ring.MaxBatch)
 	RXCapacity   int // receive-ring slots (default 1024)
 	CRMRCapacity int // per-pair CR-MR ring slots (default 64)
 	SlabSize     int // per-CR-worker in-flight request contexts (default 4096)
 
-	HotItems    int // hot-set cache target size (0 disables the CR cache)
-	SampleEvery int // hot-set tracker sampling period (default 8)
-	TrackRing   int // per-worker sample ring (default 1024)
+	// HotItems is the hot-set cache target. 0 (or less) turns the
+	// cache-resident hot path off: every request is forwarded to the MR
+	// layer. (mutps.Open, the embedder's entry point, reads 0 as "default"
+	// instead — see there.)
+	HotItems int
+	// RefreshInterval is the period of the background hot-set refresher
+	// Open starts and Close stops whenever HotItems > 0 (default 100ms).
+	// Negative starts none: the view changes only when RefreshHotSet is
+	// called.
+	RefreshInterval time.Duration
 
-	CapacityHint int // expected item count (hash engine pre-sizing)
-
-	ArenaOff   bool // disable the slab arena (items come from the Go heap)
-	ArenaChunk int  // arena backing-chunk bytes per size class (default 256 KiB)
+	CapacityHint int // expected item count (hash engine pre-sizing, default 65536)
+	ArenaChunk   int // arena backing-chunk bytes per size class (default 256 KiB)
 
 	// Bounded-memory lifecycle (DESIGN.md §13). MemoryBudget is the high
 	// watermark on live arena bytes; when crossed, a background evictor
 	// unlinks the coldest items (ranked by the hot-set sketch) until live
-	// bytes fall to EvictLowWater×MemoryBudget, spilling values to the
-	// cold tier when ColdDir is set and dropping them otherwise. The
-	// budget requires the arena: it bounds what the arena accounts for.
+	// bytes fall to 0.9×MemoryBudget (lifecycle's low-water default),
+	// spilling values to the cold tier when ColdDir is set and dropping
+	// them otherwise.
 	MemoryBudget  int64         // 0 = unbounded
-	EvictLowWater float64       // fraction of the budget to evict down to (default 0.9)
-	EvictInterval time.Duration // evictor poll period (default 5ms)
+	EvictInterval time.Duration // evictor poll period (default 5ms); allocation pressure wakes it early
 
-	ColdDir          string // SSD value-log directory ("" = no cold tier)
-	ColdSegmentBytes int64  // cold-tier segment size (default 64 MiB)
+	// ColdDir, when set, attaches an SSD-backed cold tier at that
+	// directory: evicted values spill to an append-only log and gets
+	// missing RAM are served from it (and promoted back).
+	ColdDir          string
+	ColdSegmentBytes int64 // cold-tier segment size (default 64 MiB)
 
 	// ColdCheckpointInterval is the period of the cold tier's background
 	// location-index checkpoint (0 = coldtier default of 30s, <0 = disable
@@ -66,6 +81,12 @@ type Config struct {
 	DefaultTTL time.Duration
 }
 
+// Hot-set tracker shape.
+const (
+	sampleEvery = 8    // sampling period: one access in 8 is ranked
+	trackRing   = 1024 // per-worker sample ring
+)
+
 func (c *Config) applyDefaults() error {
 	if c.Workers < 2 {
 		return fmt.Errorf("kvcore: need at least 2 workers, got %d", c.Workers)
@@ -73,6 +94,9 @@ func (c *Config) applyDefaults() error {
 	if c.CRWorkers < 1 || c.CRWorkers >= c.Workers {
 		return fmt.Errorf("kvcore: CRWorkers must be in [1, Workers-1], got %d/%d",
 			c.CRWorkers, c.Workers)
+	}
+	if c.MemoryBudget < 0 {
+		return fmt.Errorf("kvcore: MemoryBudget must be >= 0, got %d", c.MemoryBudget)
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 8
@@ -89,23 +113,17 @@ func (c *Config) applyDefaults() error {
 	if c.SlabSize <= 0 {
 		c.SlabSize = 4096
 	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 8
+	if c.HotItems < 0 {
+		c.HotItems = 0
 	}
-	if c.TrackRing <= 0 {
-		c.TrackRing = 1024
+	if c.RefreshInterval == 0 {
+		c.RefreshInterval = 100 * time.Millisecond
 	}
 	if c.CapacityHint <= 0 {
 		c.CapacityHint = 1 << 16
 	}
 	if c.ArenaChunk <= 0 {
 		c.ArenaChunk = arena.DefaultChunkBytes
-	}
-	if c.MemoryBudget > 0 && c.ArenaOff {
-		return fmt.Errorf("kvcore: MemoryBudget requires the arena (ArenaOff must be false)")
-	}
-	if c.MemoryBudget < 0 {
-		return fmt.Errorf("kvcore: MemoryBudget must be >= 0, got %d", c.MemoryBudget)
 	}
 	return nil
 }
@@ -134,12 +152,11 @@ type Store struct {
 	keyLocks []sync.Mutex
 	lockMask uint64
 
-	// The GC-quiet write path (nil/empty when Config.ArenaOff): items draw
-	// their headers and value words from per-worker pools over the shared
-	// slab arena, and retired items pass through epoch grace periods
-	// (reader slots: one per worker plus one for the serialized hot-set
-	// refresher) before their slots recycle. See reclaim.go and DESIGN.md
-	// §11.
+	// The GC-quiet write path: items draw their headers and value words
+	// from per-worker pools over the shared slab arena, and retired items
+	// pass through epoch grace periods (reader slots: one per worker plus
+	// one for the serialized hot-set refresher) before their slots
+	// recycle. See reclaim.go and DESIGN.md §11.
 	arena       *arena.Arena
 	dom         *epoch.Domain
 	pools       []*seqitem.Pool
@@ -176,8 +193,11 @@ type Store struct {
 	crDone    atomic.Int32 // workers retired from the terminal RPC schedule
 	wg        sync.WaitGroup
 	closeOnce sync.Once
-	refreshWG sync.WaitGroup
-	refreshCh chan struct{}
+
+	// The background hot-set refresher: refreshStop is nil when the store
+	// runs none (HotItems 0 or a negative RefreshInterval at Open).
+	refreshStop chan struct{}
+	refreshWG   sync.WaitGroup
 
 	// met holds every instrument (sharded counters, latency histograms,
 	// derived gauges); trace records reconfiguration decisions.
@@ -202,8 +222,8 @@ func Open(cfg Config) (*Store, error) {
 	s.rpc = rpc.NewServer(cfg.RXCapacity, cfg.Workers, cfg.CRWorkers)
 	s.crmr = ring.NewCRMR(cfg.Workers, cfg.Workers, cfg.CRMRCapacity)
 	s.cache = hotset.NewCache()
-	s.tracker = hotset.NewTracker(cfg.Workers, cfg.SampleEvery, cfg.TrackRing)
-	s.cms = hotset.NewCMS(4 * cfg.TrackRing * cfg.Workers)
+	s.tracker = hotset.NewTracker(cfg.Workers, sampleEvery, trackRing)
+	s.cms = hotset.NewCMS(4 * trackRing * cfg.Workers)
 	s.recent = hotset.NewRecent(4096)
 	s.slabs = make([]*slab, cfg.Workers)
 	s.crp = make([]*crPersist, cfg.Workers)
@@ -227,20 +247,18 @@ func Open(cfg Config) (*Store, error) {
 	}
 	s.keyLocks = make([]sync.Mutex, stripes)
 	s.lockMask = uint64(stripes - 1)
-	if !cfg.ArenaOff {
-		s.arena = arena.New(cfg.ArenaChunk)
-		// Reader slots: one per worker, cfg.Workers for the refresher,
-		// cfg.Workers+1 for the evictor. Pool/queue index cfg.Workers is
-		// the evictor's (workers use their own ids).
-		s.dom = epoch.NewDomain(cfg.Workers + 2)
-		s.pools = make([]*seqitem.Pool, cfg.Workers+1)
-		s.retq = make([]*retireQ, cfg.Workers+1)
-		for i := range s.pools {
-			s.pools[i] = seqitem.NewPool(s.arena.NewCache())
-			s.retq[i] = &retireQ{}
-		}
-		s.prePool = seqitem.NewPool(s.arena.NewCache())
+	s.arena = arena.New(cfg.ArenaChunk)
+	// Reader slots: one per worker, cfg.Workers for the refresher,
+	// cfg.Workers+1 for the evictor. Pool/queue index cfg.Workers is the
+	// evictor's (workers use their own ids).
+	s.dom = epoch.NewDomain(cfg.Workers + 2)
+	s.pools = make([]*seqitem.Pool, cfg.Workers+1)
+	s.retq = make([]*retireQ, cfg.Workers+1)
+	for i := range s.pools {
+		s.pools[i] = seqitem.NewPool(s.arena.NewCache())
+		s.retq[i] = &retireQ{}
 	}
+	s.prePool = seqitem.NewPool(s.arena.NewCache())
 	if cfg.ColdDir != "" {
 		cold, err := coldtier.Open(coldtier.Options{
 			Dir:                cfg.ColdDir,
@@ -260,7 +278,6 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.MemoryBudget > 0 {
 		s.evictor = lifecycle.New(lifecycle.Config{
 			Budget:   uint64(cfg.MemoryBudget),
-			LowWater: cfg.EvictLowWater,
 			Interval: cfg.EvictInterval,
 		}, s, s.met.reg)
 		// Kick the evictor from allocation slow paths too, so a put burst
@@ -273,7 +290,31 @@ func Open(cfg Config) (*Store, error) {
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker(i)
 	}
+	if cfg.HotItems > 0 && cfg.RefreshInterval > 0 {
+		s.startRefresher(cfg.RefreshInterval)
+	}
 	return s, nil
+}
+
+// startRefresher launches the background hot-set refresher; Close stops
+// it. Open is its only caller: a store whose cache-resident layer is on
+// cannot be left without one by forgetting a call.
+func (s *Store) startRefresher(period time.Duration) {
+	s.refreshStop = make(chan struct{})
+	s.refreshWG.Add(1)
+	go func() {
+		defer s.refreshWG.Done()
+		t := time.NewTicker(period)
+		defer t.Stop()
+		for {
+			select {
+			case <-s.refreshStop:
+				return
+			case <-t.C:
+				s.RefreshHotSet()
+			}
+		}
+	}()
 }
 
 // Engine returns the configured index engine.
@@ -293,8 +334,8 @@ func (s *Store) Close() {
 		// drain completes — it is a backstop for out-of-band stoppers, not
 		// the shutdown signal.
 		s.rpc.Close()
-		if s.refreshCh != nil {
-			close(s.refreshCh)
+		if s.refreshStop != nil {
+			close(s.refreshStop)
 			s.refreshWG.Wait()
 		}
 		if s.evictor != nil {
@@ -325,10 +366,46 @@ func (s *Store) Close() {
 
 // --- client API -----------------------------------------------------------
 
-// Get fetches the value for key over the store's RPC path. The returned
-// slice is freshly allocated; use GetInto to reuse a caller-owned buffer.
-// The error is rpc.ErrClosed after Close and rpc.ErrBacklogged (retryable)
-// when the receive ring is saturated.
+// reply is what a completed call carried, taken before its Release.
+type reply struct {
+	val    []byte
+	found  bool
+	expiry uint64 // absolute unix-nano deadline, 0 = none
+	kvs    []KV   // scans only
+}
+
+// roundTrip is the body of every synchronous op: stamp, Send, Wait, take
+// the reply, Release, and — for a request that executed — record its
+// latency under m.Op. A get's value is the caller's Dst or freshly
+// allocated, so it outlives the Release; scan values alias the call's
+// pooled buffer and are copied out first.
+func (s *Store) roundTrip(m rpc.Message) (r reply, err error) {
+	var start time.Time
+	if !obs.Disabled {
+		start = time.Now()
+	}
+	call, err := s.rpc.Send(m)
+	if err != nil {
+		return r, err
+	}
+	call.Wait()
+	if err = call.Err; err == nil {
+		r = reply{val: call.Value, found: call.Found, expiry: call.Expiry}
+		if m.Op == workload.OpScan {
+			r.kvs = copyScan(call)
+		}
+	}
+	call.Release()
+	if err == nil && !obs.Disabled {
+		s.met.lat[m.Op].Record(int(m.Key), uint64(time.Since(start)))
+	}
+	return r, err
+}
+
+// Get fetches the value stored under key. The returned slice is freshly
+// allocated; use GetInto on hot paths to reuse a caller-owned buffer. The
+// error is rpc.ErrClosed after Close and rpc.ErrBacklogged (retryable)
+// when the receive ring is saturated; mutps re-exports both.
 func (s *Store) Get(key uint64) ([]byte, bool, error) {
 	return s.GetInto(key, nil)
 }
@@ -337,55 +414,27 @@ func (s *Store) Get(key uint64) ([]byte, bool, error) {
 // has enough capacity the returned value aliases it and the whole request
 // lifecycle is allocation-free (pooled call, reused buffer); otherwise a
 // fresh slice is returned. On a miss (and on error) it returns buf[:0] and
-// false, so a loop can keep threading one buffer (buf = v[:0]) regardless
-// of outcome. buf must not be touched by the caller while the request is
-// in flight.
+// false, so a loop can keep threading one buffer regardless of outcome:
+//
+//	buf, _, _ = st.GetInto(key, buf)
+//
+// buf must not be touched by the caller while the request is in flight.
 func (s *Store) GetInto(key uint64, buf []byte) ([]byte, bool, error) {
-	var start time.Time
-	if !obs.Disabled {
-		start = time.Now()
-	}
-	call, err := s.rpc.Send(rpc.Message{Op: workload.OpGet, Key: key, Dst: buf})
+	r, err := s.roundTrip(rpc.Message{Op: workload.OpGet, Key: key, Dst: buf})
 	if err != nil {
 		return buf[:0], false, err
 	}
-	call.Wait()
-	v, found, err := call.Value, call.Found, call.Err
-	call.Release()
-	if err != nil {
-		return buf[:0], false, err
+	if r.val == nil {
+		r.val = buf[:0]
 	}
-	if v == nil {
-		v = buf[:0]
-	}
-	if !obs.Disabled {
-		s.met.lat[workload.OpGet].Record(int(key), uint64(time.Since(start)))
-	}
-	return v, found, nil
+	return r.val, r.found, nil
 }
 
 // Put stores val under key. The value bytes are copied into the item
 // before Put returns, so the caller may immediately reuse val. A non-nil
 // error (rpc.ErrClosed, rpc.ErrBacklogged) means the put did not execute.
 func (s *Store) Put(key uint64, val []byte) error {
-	var start time.Time
-	if !obs.Disabled {
-		start = time.Now()
-	}
-	call, err := s.rpc.Send(rpc.Message{Op: workload.OpPut, Key: key, Value: val, Expire: s.expireAt(0)})
-	if err != nil {
-		return err
-	}
-	call.Wait()
-	err = call.Err
-	call.Release()
-	if err != nil {
-		return err
-	}
-	if !obs.Disabled {
-		s.met.lat[workload.OpPut].Record(int(key), uint64(time.Since(start)))
-	}
-	return nil
+	return s.PutTTL(key, val, 0)
 }
 
 // expireAt converts a relative TTL into the absolute unix-nano deadline
@@ -407,70 +456,30 @@ func (s *Store) expireAt(ttl time.Duration) uint64 {
 // index, cold tier) and its memory is reclaimed by the first read that
 // notices or by the evictor.
 func (s *Store) PutTTL(key uint64, val []byte, ttl time.Duration) error {
-	var start time.Time
-	if !obs.Disabled {
-		start = time.Now()
-	}
-	call, err := s.rpc.Send(rpc.Message{Op: workload.OpPut, Key: key, Value: val, Expire: s.expireAt(ttl)})
-	if err != nil {
-		return err
-	}
-	call.Wait()
-	err = call.Err
-	call.Release()
-	if err != nil {
-		return err
-	}
-	if !obs.Disabled {
-		s.met.lat[workload.OpPut].Record(int(key), uint64(time.Since(start)))
-	}
-	return nil
+	_, err := s.roundTrip(rpc.Message{Op: workload.OpPut, Key: key, Value: val, Expire: s.expireAt(ttl)})
+	return err
 }
 
 // GetTTL fetches the value for key together with its remaining TTL
 // (0 = no expiry set). Expired keys report found=false.
 func (s *Store) GetTTL(key uint64) (val []byte, ttl time.Duration, found bool, err error) {
-	call, err := s.rpc.Send(rpc.Message{Op: workload.OpGet, Key: key})
+	r, err := s.roundTrip(rpc.Message{Op: workload.OpGet, Key: key})
 	if err != nil {
 		return nil, 0, false, err
 	}
-	call.Wait()
-	v, found, exp, cerr := call.Value, call.Found, call.Expiry, call.Err
-	call.Release()
-	if cerr != nil {
-		return nil, 0, false, cerr
-	}
-	if found && exp != 0 {
-		if rem := int64(exp) - time.Now().UnixNano(); rem > 0 {
-			ttl = time.Duration(rem)
-		} else {
+	if r.found && r.expiry != 0 {
+		if ttl = time.Duration(int64(r.expiry) - time.Now().UnixNano()); ttl <= 0 {
 			// Deadline passed between the worker's check and now.
 			return nil, 0, false, nil
 		}
 	}
-	return v, ttl, found, nil
+	return r.val, ttl, r.found, nil
 }
 
 // Delete removes key, reporting whether it existed.
 func (s *Store) Delete(key uint64) (bool, error) {
-	var start time.Time
-	if !obs.Disabled {
-		start = time.Now()
-	}
-	call, err := s.rpc.Send(rpc.Message{Op: workload.OpDelete, Key: key})
-	if err != nil {
-		return false, err
-	}
-	call.Wait()
-	found, err := call.Found, call.Err
-	call.Release()
-	if err != nil {
-		return false, err
-	}
-	if !obs.Disabled {
-		s.met.lat[workload.OpDelete].Record(int(key), uint64(time.Since(start)))
-	}
-	return found, nil
+	r, err := s.roundTrip(rpc.Message{Op: workload.OpDelete, Key: key})
+	return r.found, err
 }
 
 // KV is one scan result entry.
@@ -485,30 +494,22 @@ type KV struct {
 const MaxScanCount = 0xFFFF
 
 // Scan returns up to count entries with keys >= start in ascending order.
-// It requires the Tree engine and count ≤ MaxScanCount.
+// It requires the Tree engine and 0 ≤ count ≤ MaxScanCount.
 func (s *Store) Scan(start uint64, count int) ([]KV, error) {
 	if s.scanIdx == nil {
 		return nil, fmt.Errorf("kvcore: scan requires the tree engine")
 	}
-	if count > MaxScanCount {
-		return nil, fmt.Errorf("kvcore: scan count %d exceeds the maximum %d", count, MaxScanCount)
+	if count < 0 || count > MaxScanCount {
+		return nil, fmt.Errorf("kvcore: scan count %d outside [0, %d]", count, MaxScanCount)
 	}
-	var t0 time.Time
-	if !obs.Disabled {
-		t0 = time.Now()
-	}
-	call, err := s.rpc.Send(rpc.Message{Op: workload.OpScan, Key: start, ScanCount: count})
-	if err != nil {
-		return nil, err
-	}
-	call.Wait()
-	if err := call.Err; err != nil {
-		call.Release()
-		return nil, err
-	}
-	// ScanVals alias the call's pooled ScanBuf, so copy the values out —
-	// into one shared backing array, not one allocation per entry — before
-	// Release recycles the buffers.
+	r, err := s.roundTrip(rpc.Message{Op: workload.OpScan, Key: start, ScanCount: count})
+	return r.kvs, err
+}
+
+// copyScan copies a completed scan's entries out of the call's pooled
+// ScanBuf — into one shared backing array, not one allocation per entry —
+// so they survive the call's Release.
+func copyScan(call *rpc.Call) []KV {
 	out := make([]KV, len(call.ScanKeys))
 	total := 0
 	for _, v := range call.ScanVals {
@@ -520,11 +521,7 @@ func (s *Store) Scan(start uint64, count int) ([]KV, error) {
 		blob = append(blob, call.ScanVals[i]...)
 		out[i] = KV{Key: call.ScanKeys[i], Value: blob[n:len(blob):len(blob)]}
 	}
-	call.Release()
-	if !obs.Disabled {
-		s.met.lat[workload.OpScan].Record(int(start), uint64(time.Since(t0)))
-	}
-	return out, nil
+	return out
 }
 
 // SendAsync exposes the raw asynchronous RPC path for benchmarks and load
@@ -603,8 +600,10 @@ func (s *Store) SetSplit(nCR int) error {
 	return nil
 }
 
-// SetHotItems adjusts the hot-set cache target (0 disables it at the next
-// refresh).
+// SetHotItems adjusts the hot-set cache target (0 empties it). It takes
+// effect at the next refresh: the background refresher's, or — on a store
+// opened without one (HotItems 0 or a negative RefreshInterval) — the
+// caller's next RefreshHotSet.
 func (s *Store) SetHotItems(k int) {
 	if k < 0 {
 		k = 0
@@ -633,10 +632,10 @@ func (s *Store) RefreshHotSet() int {
 	// Once the new view is in and this reader section has closed, retired
 	// items parked behind the superseded view can move on — the one wake
 	// condition of an idle worker nothing else rings for. (Deferred before
-	// epochExit so it runs after it.)
+	// the section exit so it runs after it.)
 	defer s.rpc.RingAll()
-	s.epochEnter(s.cfg.Workers)
-	defer s.epochExit(s.cfg.Workers)
+	s.dom.Enter(s.cfg.Workers)
+	defer s.dom.Exit(s.cfg.Workers)
 	k := int(s.hotTarget.Load())
 	if k <= 0 {
 		s.cache.Install(hotset.NewSortedView(nil))
@@ -659,11 +658,9 @@ func (s *Store) RefreshHotSet() int {
 		}
 	}
 	s.recent.Sweep()
-	if s.dom != nil {
-		gen := s.cache.Installs() + 1 // the generation Install below gets
-		for _, e := range entries {
-			e.Item.MarkViewed(gen)
-		}
+	gen := s.cache.Installs() + 1 // the generation Install below gets
+	for _, e := range entries {
+		e.Item.MarkViewed(gen)
 	}
 	var v hotset.View
 	if s.cfg.Engine == Tree {
@@ -673,26 +670,6 @@ func (s *Store) RefreshHotSet() int {
 	}
 	s.cache.Install(v)
 	return len(entries)
-}
-
-// StartRefresher launches the background hot-set refresher with the given
-// period. It stops when the store is closed.
-func (s *Store) StartRefresher(period time.Duration) {
-	s.refreshCh = make(chan struct{})
-	s.refreshWG.Add(1)
-	go func() {
-		defer s.refreshWG.Done()
-		t := time.NewTicker(period)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.refreshCh:
-				return
-			case <-t.C:
-				s.RefreshHotSet()
-			}
-		}
-	}()
 }
 
 // Stats is a snapshot of store counters.
@@ -722,15 +699,12 @@ func (s *Store) Stats() Stats {
 func (s *Store) Ops() uint64 { return s.met.opsTotal() }
 
 // Preload inserts directly into the index, bypassing the RPC path; used
-// for bulk pre-population before serving. Preloads are serialized among
+// for bulk pre-population before serving. The value is copied into the
+// item, so the caller may reuse val. Preloads are serialized among
 // themselves and take the key-stripe lock against concurrent worker
 // writes; an overwritten item is retired like any other (its queue is
 // drained at Close).
 func (s *Store) Preload(key uint64, val []byte) {
-	if s.dom == nil {
-		s.preloadPlain(key, val)
-		return
-	}
 	s.preMu.Lock()
 	defer s.preMu.Unlock()
 	mu := &s.keyLocks[key&s.lockMask]
@@ -748,17 +722,4 @@ func (s *Store) Preload(key uint64, val []byte) {
 		return
 	}
 	s.idx.Put(key, n)
-}
-
-func (s *Store) preloadPlain(key uint64, val []byte) {
-	mu := &s.keyLocks[key&s.lockMask]
-	mu.Lock()
-	defer mu.Unlock()
-	if it, ok := s.idx.Get(key); ok {
-		n := seqitem.New(val)
-		s.idx.Put(key, n)
-		it.MoveTo(n)
-		return
-	}
-	s.idx.Put(key, seqitem.New(val))
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"mutps/internal/obs"
 	"mutps/internal/rpc"
 	"mutps/internal/workload"
 )
@@ -19,6 +20,8 @@ func openTest(t *testing.T, engine Engine, mutate func(*Config)) *Store {
 		Workers:   4,
 		CRWorkers: 2,
 		BatchSize: 4,
+
+		RefreshInterval: -1, // deterministic hot set: tests call RefreshHotSet
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -143,7 +146,6 @@ func TestPreload(t *testing.T) {
 func TestHotSetServesAtCRLayer(t *testing.T) {
 	s := openTest(t, Tree, func(c *Config) {
 		c.HotItems = 16
-		c.SampleEvery = 1
 	})
 	for i := uint64(0); i < 100; i++ {
 		s.Preload(i, []byte("valuesz8"))
@@ -203,7 +205,7 @@ func TestRefreshHotSetDisabled(t *testing.T) {
 }
 
 func TestConcurrentClients(t *testing.T) {
-	s := openTest(t, Hash, func(c *Config) { c.HotItems = 32; c.SampleEvery = 2 })
+	s := openTest(t, Hash, func(c *Config) { c.HotItems = 32 })
 	const clients, perClient, keys = 3, 700, 256
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -363,11 +365,10 @@ func TestStatsAndOps(t *testing.T) {
 }
 
 func TestCloseIsIdempotent(t *testing.T) {
-	s, err := Open(Config{Engine: Hash, Workers: 2, CRWorkers: 1})
+	s, err := Open(Config{Engine: Hash, Workers: 2, CRWorkers: 1, HotItems: 16, RefreshInterval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.StartRefresher(time.Millisecond)
 	s.Put(1, []byte("x"))
 	s.Close()
 	s.Close() // must not panic or deadlock
@@ -438,6 +439,61 @@ func TestDeleteVisibleToBatchedGets(t *testing.T) {
 		}
 		if uint64(i) != 9 && !c.Found {
 			t.Fatalf("live key %d missing via batched get", i)
+		}
+	}
+}
+
+// TestScanNegativeCount: a negative count is rejected at the facade, and a
+// raw SendAsync that carries one scans nothing — it used to pass the
+// "> MaxScanCount" check and wrap through uint16 into a 65 535-entry scan.
+func TestScanNegativeCount(t *testing.T) {
+	s := openTest(t, Tree, nil)
+	for i := uint64(0); i < 32; i++ {
+		s.Preload(i, []byte("v"))
+	}
+	if kvs, err := s.Scan(0, -1); err == nil {
+		t.Fatalf("Scan(0, -1) returned %d entries, want an error", len(kvs))
+	}
+	call, err := s.SendAsync(rpc.Message{Op: workload.OpScan, Key: 0, ScanCount: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	call.Wait()
+	defer call.Release()
+	if call.Err != nil || len(call.ScanKeys) != 0 {
+		t.Fatalf("raw scan with count -1: %d entries, err %v; want none", len(call.ScanKeys), call.Err)
+	}
+}
+
+// TestSyncOpsRecordLatency: every synchronous op runs the one round-trip
+// body, so each feeds mutps_op_latency under its op type exactly once.
+// (GetTTL used to feed nothing.)
+func TestSyncOpsRecordLatency(t *testing.T) {
+	if obs.Disabled {
+		t.Skip("latency histograms are compiled out")
+	}
+	s := openTest(t, Tree, nil)
+	s.Preload(1, []byte("v"))
+	buf := make([]byte, 0, 8)
+	for _, tc := range []struct {
+		name string
+		op   workload.OpType
+		do   func() error
+	}{
+		{"Get", workload.OpGet, func() error { _, _, err := s.Get(1); return err }},
+		{"GetInto", workload.OpGet, func() error { _, _, err := s.GetInto(1, buf); return err }},
+		{"GetTTL", workload.OpGet, func() error { _, _, _, err := s.GetTTL(1); return err }},
+		{"Put", workload.OpPut, func() error { return s.Put(2, []byte("w")) }},
+		{"PutTTL", workload.OpPut, func() error { return s.PutTTL(3, []byte("w"), time.Minute) }},
+		{"Delete", workload.OpDelete, func() error { _, err := s.Delete(2); return err }},
+		{"Scan", workload.OpScan, func() error { _, err := s.Scan(0, 4); return err }},
+	} {
+		before := s.met.lat[tc.op].Snapshot().Count
+		if err := tc.do(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := s.met.lat[tc.op].Snapshot().Count - before; got != 1 {
+			t.Errorf("%s recorded %d latency samples under op %d, want 1", tc.name, got, tc.op)
 		}
 	}
 }

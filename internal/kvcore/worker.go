@@ -347,18 +347,17 @@ func (s *Store) failPartial(st *crPersist, sl *slab) {
 }
 
 // encodeRequest builds the compact 16-byte CR-MR representation (Fig. 6).
-// Scan counts are validated against MaxScanCount at the facade (Store.Scan)
-// before they reach this encoding; the clamp below is a backstop for raw
-// SendAsync callers (put sizes are informational — processMR reads the
-// value through the slab message, not through Size).
+// Scan counts are validated against [0, MaxScanCount] at the facade
+// (Store.Scan) before they reach this encoding; the clamp below is a
+// backstop for raw SendAsync callers: a negative count must not wrap
+// through uint16 into a 65 535-entry scan. (Put sizes are informational —
+// processMR reads the value through the slab message, not through Size.)
 func encodeRequest(m *rpc.Message, slot uint32) ring.Request {
 	size := len(m.Value)
 	if m.Op == workload.OpScan {
 		size = m.ScanCount
 	}
-	if size > MaxScanCount {
-		size = MaxScanCount
-	}
+	size = min(max(size, 0), MaxScanCount)
 	return ring.Request{
 		Key:  m.Key,
 		Type: uint8(m.Op),
@@ -377,8 +376,8 @@ func encodeRequest(m *rpc.Message, slot uint32) ring.Request {
 // parked waiter resumes the moment Complete runs, and a caller that has
 // seen its request complete must find it in the counters.
 func (s *Store) tryServeHot(w int, m *rpc.Message) bool {
-	s.epochEnter(w)
-	defer s.epochExit(w)
+	s.dom.Enter(w)
+	defer s.dom.Exit(w)
 	switch m.Op {
 	case workload.OpGet:
 		it, ok := s.cache.Lookup(m.Key)
@@ -549,14 +548,14 @@ func (s *Store) runMR(id int) {
 				// item read; it closes before the non-get requests run
 				// (processMR opens its own — sections must not nest).
 				s.met.ops[workload.OpGet].Add(id, uint64(len(scr.pos)))
-				s.epochEnter(id)
+				s.dom.Enter(id)
 				scr.items, scr.found = batched.GetBatch(scr.keys, scr.items, scr.found)
 				for j, i := range scr.pos {
 					call := s.slabs[cr].msgs[reqs[i].Buf].Call()
 					s.serveGet(id, scr.keys[j], scr.items[j], scr.found[j], call)
 					call.Complete()
 				}
-				s.epochExit(id)
+				s.dom.Exit(id)
 				for i := range reqs {
 					if workload.OpType(reqs[i].Type) != workload.OpGet {
 						s.processMR(id, cr, &reqs[i])
@@ -580,7 +579,7 @@ func (s *Store) runMR(id int) {
 func (s *Store) processMR(w, cr int, req *ring.Request) {
 	m := &s.slabs[cr].msgs[req.Buf]
 	call := m.Call()
-	s.epochEnter(w)
+	s.dom.Enter(w)
 	switch workload.OpType(req.Type) {
 	case workload.OpGet:
 		it, ok := s.idx.Get(req.Key)
@@ -592,7 +591,7 @@ func (s *Store) processMR(w, cr int, req *ring.Request) {
 	case workload.OpScan:
 		s.scanMR(w, req, call)
 	}
-	s.epochExit(w)
+	s.dom.Exit(w)
 	s.met.ops[opIndex(workload.OpType(req.Type))].Inc(w)
 	call.Complete()
 	s.maybeReclaim(w)
@@ -628,14 +627,12 @@ func (s *Store) putMR(w int, key uint64, val []byte, exp uint64) {
 		}
 		s.idx.Put(key, n)
 		it.MoveTo(n) // stale holders (hot views) converge on the new record
-		if s.dom != nil {
-			// Propagate view reachability: a view that holds it can reach n
-			// through the chain. Reading ViewGen after MoveTo ensures either
-			// this read sees a concurrent marker's generation, or that
-			// marker's chain walk sees n and marks it directly (§11).
-			n.MarkViewed(it.ViewGen())
-			s.retire(w, it)
-		}
+		// Propagate view reachability: a view that holds it can reach n
+		// through the chain. Reading ViewGen after MoveTo ensures either
+		// this read sees a concurrent marker's generation, or that
+		// marker's chain walk sees n and marks it directly (§11).
+		n.MarkViewed(it.ViewGen())
+		s.retire(w, it)
 		return
 	}
 	// New-key insert. Retire any cold shadow first: this put supersedes
@@ -668,9 +665,7 @@ func (s *Store) deleteMR(w int, key uint64) bool {
 	expired := it.Expired(time.Now().UnixNano())
 	s.idx.Delete(key)
 	it.Kill()
-	if s.dom != nil {
-		s.retire(w, it)
-	}
+	s.retire(w, it)
 	if s.cold != nil {
 		s.cold.Delete(key) // clear any stale shadow
 	}

@@ -24,7 +24,7 @@ import (
 // and so an address for every client type.
 func launch(t *testing.T) *cluster.Local {
 	t.Helper()
-	l, err := cluster.LaunchLocal(1, cluster.LocalOptions{Engine: kvcore.Tree})
+	l, err := cluster.LaunchLocal(1, cluster.LocalOptions{Config: kvcore.Config{Engine: kvcore.Tree, Workers: 4, CRWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,10 +20,16 @@ import (
 // stays portable while exercising both cost models on Linux.
 func startTransportServer(t *testing.T, tr string, cfg Config) *Server {
 	t.Helper()
+	return startTransportStore(t, tr, cfg, kvcore.Config{Engine: kvcore.Hash, Workers: 3, CRWorkers: 1})
+}
+
+// startTransportStore is startTransportServer over a store opened with sc.
+func startTransportStore(t *testing.T, tr string, cfg Config, sc kvcore.Config) *Server {
+	t.Helper()
 	if tr == TransportEpoll && !epollSupported {
 		t.Skip("epoll transport requires linux")
 	}
-	store, err := kvcore.Open(kvcore.Config{Engine: kvcore.Hash, Workers: 3, CRWorkers: 1})
+	store, err := kvcore.Open(sc)
 	if err != nil {
 		t.Fatal(err)
 	}

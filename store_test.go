@@ -2,8 +2,11 @@ package mutps
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
+
+	"mutps/internal/obs"
 )
 
 func openStore(t *testing.T, o Options) *Store {
@@ -28,6 +31,81 @@ func TestDefaults(t *testing.T) {
 	s.Put(1, []byte("v"))
 	if v, ok, _ := s.Get(1); !ok || string(v) != "v" {
 		t.Fatal("basic put/get through the facade failed")
+	}
+}
+
+// TestOpenDefaults pins Open's contract for what an embedder leaves zero:
+// the zero Options serves with the hot-set cache on (HotItems 0 → 4096) and
+// its refresher running, so a skewed burst ends up served at the CR layer
+// with no RefreshHotSet call; a negative RefreshInterval leaves the view to
+// manual refreshes; a negative HotItems opens without the cache.
+func TestOpenDefaults(t *testing.T) {
+	hammer := func(s *Store) {
+		for i := 0; i < 256; i++ {
+			if _, ok, err := s.Get(7); err != nil || !ok {
+				t.Fatalf("get: found=%v err=%v", ok, err)
+			}
+		}
+	}
+	t.Run("zero", func(t *testing.T) {
+		if obs.Disabled {
+			t.Skip("CRHits comes from the obs instruments")
+		}
+		s, err := Open(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if s.HotItems() != 4096 {
+			t.Fatalf("default hot-set target = %d, want 4096", s.HotItems())
+		}
+		s.Put(7, []byte("hothotho"))
+		for deadline := time.Now().Add(2 * time.Second); s.Stats().CRHits == 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("zero Options never served a get at the CR layer: no refresher running")
+			}
+			hammer(s)
+		}
+	})
+	t.Run("manual", func(t *testing.T) {
+		s := openStore(t, Options{RefreshInterval: -1})
+		s.Put(7, []byte("hothotho"))
+		hammer(s)
+		time.Sleep(250 * time.Millisecond) // two default refresh periods
+		if st := s.Stats(); st.HotSize != 0 || st.CRHits != 0 {
+			t.Fatalf("hot view changed without RefreshHotSet: %+v", st)
+		}
+		if s.RefreshHotSet() == 0 || s.Stats().HotSize == 0 {
+			t.Fatal("manual refresh cached nothing")
+		}
+	})
+	t.Run("off", func(t *testing.T) {
+		s := openStore(t, Options{HotItems: -1})
+		if s.HotItems() != 0 {
+			t.Fatalf("negative HotItems opened with target %d, want 0 (cache off)", s.HotItems())
+		}
+	})
+}
+
+// TestCloseStopsRefresher: the refresher is Open's goroutine, so Close
+// takes it down with the workers — the goroutine count returns to where it
+// was before Open.
+func TestCloseStopsRefresher(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s, err := Open(Options{RefreshInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put(1, []byte("v"))
+	if runtime.NumGoroutine() <= before {
+		t.Fatal("an open store runs no goroutines?")
+	}
+	s.Close()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before Open", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
