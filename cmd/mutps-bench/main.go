@@ -16,31 +16,13 @@ import (
 	"time"
 
 	"mutps/internal/bench"
-	"mutps/internal/simkv"
 )
 
 func main() {
 	fig := flag.String("fig", "", "experiment id (e.g. 2a, 7, 13b, tab1, tuner-ablation) or 'all'")
 	full := flag.Bool("full", false, "use the paper's full geometry (28 cores, 42 MB LLC, 10M keys); slower")
 	list := flag.Bool("list", false, "list experiment ids")
-	sweepPriors := flag.String("sweep-priors", "",
-		"run the simkv config sweeper over the standard workload grid and write the per-signature best-known configs to this JSON file (feed to mutps-server -tuner-priors)")
 	flag.Parse()
-
-	if *sweepPriors != "" {
-		start := time.Now()
-		grid := simkv.DefaultSweepGrid()
-		fmt.Printf("sweeping %d workload points...\n", len(grid))
-		// 20 000 simulated requests per probe window, workload seed 1.
-		priors := simkv.SweepPriors(simkv.SweepParams(), grid, 20000, 1)
-		if err := priors.Save(*sweepPriors); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%d signature priors written to %s in %v\n",
-			priors.Len(), *sweepPriors, time.Since(start).Round(time.Millisecond))
-		return
-	}
 
 	if *list || *fig == "" {
 		fmt.Println("experiments:")

@@ -50,8 +50,6 @@ func main() {
 		"where an idle connection waits: goroutine (portable, in its two goroutines) or epoll (Linux: parked in one epoll set, costing a descriptor and no goroutine or buffer); empty honors MUTPS_TRANSPORT then defaults to goroutine")
 	autotune := flag.Bool("autotune", false,
 		"run the closed-loop auto-tuner: sample throughput and mean latency every 100ms and, on the first window more than 25% off the moving baseline, re-search the thread split and hot-set size online (10ms probes, at most one search per 3s, winner kept only above 5% gain), without pausing traffic")
-	tunerPriors := flag.String("tuner-priors", "",
-		"per-workload-signature best-known-config JSON (seed offline with 'mutps-bench -sweep-priors', which describes an 8-worker simulated machine: an entry is consulted only when it fits this store's workers and hot-set bound); loaded at startup, rewritten with online refinements at shutdown (empty = start cold)")
 	flag.Parse()
 
 	budget, err := parseSize(*memBudget)
@@ -111,18 +109,7 @@ func main() {
 	// latency trigger can tap its per-op histograms, which are registered on
 	// the store's shared metrics registry.
 	var ctl *tuner.Controller
-	var priors *tuner.Priors
 	if *autotune {
-		priors = tuner.NewPriors()
-		if *tunerPriors != "" {
-			if p, err := tuner.LoadPriors(*tunerPriors); err == nil {
-				priors = p
-				log.Printf("autotune: %d workload-signature priors loaded from %s", p.Len(), *tunerPriors)
-			} else if !os.IsNotExist(err) {
-				log.Fatalf("-tuner-priors: %v", err)
-			}
-		}
-		tn := &kvcore.Tunable{S: store}
 		// Exact-mean latency feed: the _sum/_count series of every per-op
 		// network latency histogram (never interpolated bucket quantiles).
 		var hists []*obs.Histogram
@@ -131,12 +118,10 @@ func main() {
 				hists = append(hists, h)
 			}
 		}
-		ctl = tuner.NewController(tn, tuner.ControllerConfig{
-			Rate:      store.Ops,
-			Latency:   obs.NewHistogramMeanSampler(hists...),
-			Priors:    priors,
-			Signature: tn.Signature,
-			Trace:     store.Trace(),
+		ctl = tuner.NewController(&kvcore.Tunable{S: store}, tuner.ControllerConfig{
+			Rate:    store.Ops,
+			Latency: obs.NewHistogramMeanSampler(hists...),
+			Trace:   store.Trace(),
 		})
 		ctl.Start()
 		log.Print("autotune: on")
@@ -166,12 +151,6 @@ func main() {
 		ctl.Stop()
 		ticks, triggers, retunes, reverts := ctl.Counters()
 		log.Printf("autotune: ticks=%d triggers=%d retunes=%d reverts=%d", ticks, triggers, retunes, reverts)
-		if *tunerPriors != "" {
-			// Persist online refinements so the next start re-seeds from them.
-			if err := priors.Save(*tunerPriors); err != nil {
-				log.Printf("autotune: saving priors: %v", err)
-			}
-		}
 	}
 	srv.Close()
 	store.Close()

@@ -16,14 +16,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mutps/internal/kvcore"
-	"mutps/internal/tuner"
+	"mutps"
 	"mutps/internal/workload"
 )
 
 func main() {
-	store, err := kvcore.Open(kvcore.Config{
-		Engine:    kvcore.Tree,
+	store, err := mutps.Open(mutps.Options{
+		Engine:    mutps.Tree,
 		Workers:   4,
 		CRWorkers: 2,
 		HotItems:  2048,
@@ -67,11 +66,9 @@ func main() {
 	nCR, nMR := store.Split()
 	fmt.Printf("before tuning: %d/%d split, %.0f ops/s\n", nCR, nMR, before)
 
-	tn := &kvcore.Tunable{S: store, Window: 50 * time.Millisecond, MaxCache: 4096, CacheStep: 1024}
-	res := tuner.NewController(tn, tuner.ControllerConfig{Rate: store.Ops, Trace: store.Trace()}).Retune()
-	nCR, nMR = store.Split()
+	res := store.Autotune(50*time.Millisecond, 4096)
 	fmt.Printf("tuned: %d/%d split, hot target %d (%d probes, score %.0f ops/s)\n",
-		nCR, nMR, store.HotItems(), res.Probes, res.Score)
+		res.CRWorkers, res.MRWorkers, res.HotItems, res.Probes, res.OpsPerSec)
 
 	after := measure(store, 200*time.Millisecond)
 	st := store.Stats()
@@ -82,7 +79,7 @@ func main() {
 	wg.Wait()
 }
 
-func measure(store *kvcore.Store, window time.Duration) float64 {
+func measure(store *mutps.Store, window time.Duration) float64 {
 	before := store.Ops()
 	start := time.Now()
 	time.Sleep(window)

@@ -102,9 +102,8 @@ func TestScenarioMatrixSmoke(t *testing.T) {
 // TestScenarioSizeShiftRecovery is the Fig 14 harness: the size-shift
 // scenario runs twice over identical stores — once frozen at the
 // configuration tuned for the pre-shift workload (the static baseline),
-// once with the closed-loop controller live (a prior table that starts
-// empty and is refined online, a retune forced at the phase boundary on
-// top of the natural triggers). It reports the post-shift throughput of
+// once with the closed-loop controller live (a retune forced at the phase
+// boundary on top of the natural triggers). It reports the post-shift throughput of
 // both runs and the tuned run's recovery time: the first post-shift
 // window at ≥90% of the tuned run's own post-shift steady state.
 //
@@ -115,12 +114,6 @@ func TestScenarioSizeShiftRecovery(t *testing.T) {
 	sc := shrink(t, "size-shift", 0.25, 8192) // 3s phases -> 750ms
 	window := 75 * time.Millisecond
 
-	// No simkv seed: the sweep describes an 8-worker simulated machine with
-	// a 10 000-item cache bound, and both entries it produced for this
-	// scenario's regimes ({4000, 2, 9}, {3000, 3, 7}) lie outside this
-	// store's MaxCache 1024 — the controller would skip them.
-	priors := tuner.NewPriors()
-
 	run := func(tuned bool) ([]benchfmt.Record, uint64) {
 		s := openScenarioStore(t, sc)
 		// Close eagerly at the end of the run (Close is idempotent, so the
@@ -129,11 +122,9 @@ func TestScenarioSizeShiftRecovery(t *testing.T) {
 		defer s.Close()
 		tn := &kvcore.Tunable{S: s, Window: 3 * time.Millisecond, MaxCache: 1024, CacheStep: 512}
 		ctl := tuner.NewController(tn, tuner.ControllerConfig{
-			Interval:  25 * time.Millisecond,
-			Cooldown:  300 * time.Millisecond,
-			Rate:      s.Ops,
-			Priors:    priors,
-			Signature: tn.Signature,
+			Interval: 25 * time.Millisecond,
+			Cooldown: 300 * time.Millisecond,
+			Rate:     s.Ops,
 		})
 
 		// Both runs start from the configuration tuned for the pre-shift

@@ -30,14 +30,11 @@ func TestCloseReclaimsRetired(t *testing.T) {
 }
 
 func runCloseReclaim(t *testing.T) {
-	// Small arena chunks so the churn spans many chunks and the
-	// central-list refill/flush paths stay hot, not just the caches.
 	s, err := kvcore.Open(kvcore.Config{
-		Engine:     kvcore.Hash,
-		Workers:    3,
-		CRWorkers:  1,
-		HotItems:   32,
-		ArenaChunk: 4 << 10,
+		Engine:    kvcore.Hash,
+		Workers:   3,
+		CRWorkers: 1,
+		HotItems:  32,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,6 @@ type storeMetrics struct {
 
 	batchSize *obs.Histogram    // CR→MR requests per flushed batch
 	lat       [4]*obs.Histogram // facade-observed latency by op type, ns
-	valSize   *obs.Histogram    // put value sizes, bytes (workload-signature feed)
 	hotVeto   *obs.Counter      // hot-set admissions skipped by the eviction veto
 
 	retired  *obs.Counter // items unlinked and queued for reclamation
@@ -80,8 +79,6 @@ func newStoreMetrics(workers int) *storeMetrics {
 		"Worker layer transitions (including each worker's initial role settling).", workers)
 	m.batchSize = r.Histogram("mutps_crmr_batch_size", "",
 		"Requests per flushed CR-MR batch.", workers)
-	m.valSize = r.Histogram("mutps_put_value_bytes", "",
-		"Put value sizes in bytes; the mean (sum/count) feeds the tuner's workload signature.", workers)
 	m.hotVeto = r.Counter("mutps_hotset_vetoed_total", "",
 		"Hot-set admissions skipped because the key was recently evicted.", 1)
 	m.retired = r.Counter("mutps_items_retired_total", "",
@@ -118,25 +115,6 @@ func (m *storeMetrics) opsTotal() uint64 {
 		t += c.Value()
 	}
 	return t
-}
-
-// OpCounts returns the completed-operation counters by op type (get,
-// put, delete, scan) — with opsTotal and PutValueStats, the raw material
-// for the tuner's workload signature.
-func (s *Store) OpCounts() [4]uint64 {
-	var out [4]uint64
-	for i, c := range s.met.ops {
-		out[i] = c.Value()
-	}
-	return out
-}
-
-// PutValueStats returns the cumulative sum and count of put value sizes
-// observed at the CR layer; the windowed delta sum/count is the exact
-// mean value size of recent traffic.
-func (s *Store) PutValueStats() (sumBytes, count uint64) {
-	snap := s.met.valSize.Snapshot()
-	return snap.Sum, snap.Count
 }
 
 // registerDerived exposes the state lower layers already track — receive

@@ -44,13 +44,13 @@ type Config struct {
 	// instead — see there.)
 	HotItems int
 	// RefreshInterval is the period of the background hot-set refresher
-	// Open starts and Close stops whenever HotItems > 0 (default 100ms).
+	// Open starts and Close stops (default 100ms), whatever HotItems is, so
+	// a cache turned on later by SetHotItems or the tuner stays fresh.
 	// Negative starts none: the view changes only when RefreshHotSet is
 	// called.
 	RefreshInterval time.Duration
 
 	CapacityHint int // expected item count (hash engine pre-sizing, default 65536)
-	ArenaChunk   int // arena backing-chunk bytes per size class (default 256 KiB)
 
 	// Bounded-memory lifecycle (DESIGN.md §13). MemoryBudget is the high
 	// watermark on live arena bytes; when crossed, a background evictor
@@ -122,9 +122,6 @@ func (c *Config) applyDefaults() error {
 	if c.CapacityHint <= 0 {
 		c.CapacityHint = 1 << 16
 	}
-	if c.ArenaChunk <= 0 {
-		c.ArenaChunk = arena.DefaultChunkBytes
-	}
 	return nil
 }
 
@@ -195,7 +192,7 @@ type Store struct {
 	closeOnce sync.Once
 
 	// The background hot-set refresher: refreshStop is nil when the store
-	// runs none (HotItems 0 or a negative RefreshInterval at Open).
+	// runs none (a negative RefreshInterval at Open).
 	refreshStop chan struct{}
 	refreshWG   sync.WaitGroup
 
@@ -247,7 +244,7 @@ func Open(cfg Config) (*Store, error) {
 	}
 	s.keyLocks = make([]sync.Mutex, stripes)
 	s.lockMask = uint64(stripes - 1)
-	s.arena = arena.New(cfg.ArenaChunk)
+	s.arena = arena.New(arena.DefaultChunkBytes)
 	// Reader slots: one per worker, cfg.Workers for the refresher,
 	// cfg.Workers+1 for the evictor. Pool/queue index cfg.Workers is the
 	// evictor's (workers use their own ids).
@@ -290,15 +287,15 @@ func Open(cfg Config) (*Store, error) {
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker(i)
 	}
-	if cfg.HotItems > 0 && cfg.RefreshInterval > 0 {
+	if cfg.RefreshInterval > 0 {
 		s.startRefresher(cfg.RefreshInterval)
 	}
 	return s, nil
 }
 
 // startRefresher launches the background hot-set refresher; Close stops
-// it. Open is its only caller: a store whose cache-resident layer is on
-// cannot be left without one by forgetting a call.
+// it. Open is its only caller: a store cannot be left without one by
+// forgetting a call.
 func (s *Store) startRefresher(period time.Duration) {
 	s.refreshStop = make(chan struct{})
 	s.refreshWG.Add(1)
@@ -602,8 +599,8 @@ func (s *Store) SetSplit(nCR int) error {
 
 // SetHotItems adjusts the hot-set cache target (0 empties it). It takes
 // effect at the next refresh: the background refresher's, or — on a store
-// opened without one (HotItems 0 or a negative RefreshInterval) — the
-// caller's next RefreshHotSet.
+// opened without one (a negative RefreshInterval) — the caller's next
+// RefreshHotSet.
 func (s *Store) SetHotItems(k int) {
 	if k < 0 {
 		k = 0
@@ -629,6 +626,13 @@ func (s *Store) HotItems() int { return int(s.hotTarget.Load()) }
 func (s *Store) RefreshHotSet() int {
 	s.refreshMu.Lock()
 	defer s.refreshMu.Unlock()
+	k := int(s.hotTarget.Load())
+	if k <= 0 && s.cache.Len() == 0 {
+		// Cache off and already empty: nothing to install and nothing
+		// superseded, so no ring either — a store with the cache off gets
+		// no periodic wake-up from its refresher.
+		return 0
+	}
 	// Once the new view is in and this reader section has closed, retired
 	// items parked behind the superseded view can move on — the one wake
 	// condition of an idle worker nothing else rings for. (Deferred before
@@ -636,7 +640,6 @@ func (s *Store) RefreshHotSet() int {
 	defer s.rpc.RingAll()
 	s.dom.Enter(s.cfg.Workers)
 	defer s.dom.Exit(s.cfg.Workers)
-	k := int(s.hotTarget.Load())
 	if k <= 0 {
 		s.cache.Install(hotset.NewSortedView(nil))
 		return 0

@@ -22,12 +22,6 @@ type Tunable struct {
 	MaxCache int
 	// CacheStep is the linear-probe step (default MaxCache/8).
 	CacheStep int
-
-	// Windowed workload-signature state: deltas since the previous
-	// Signature call classify *recent* traffic, not the lifetime mix.
-	lastOps    [4]uint64
-	lastValSum uint64
-	lastValCnt uint64
 }
 
 // Bounds implements tuner.Reconfigurable.
@@ -79,42 +73,6 @@ func (t *Tunable) Measure(c tuner.Config) float64 {
 	s := obs.NewWindowSampler(t.S.Ops)
 	time.Sleep(w)
 	return s.Rate()
-}
-
-// Signature classifies the traffic observed since the previous Signature
-// call (read fraction, scan fraction, exact mean put value size from the
-// value-size histogram's sum/count deltas) for the controller's prior
-// table. With no traffic in the window it falls back to lifetime totals.
-func (t *Tunable) Signature() tuner.Signature {
-	ops := t.S.OpCounts()
-	vSum, vCnt := t.S.PutValueStats()
-
-	var d [4]uint64
-	var total uint64
-	for i := range ops {
-		d[i] = ops[i] - t.lastOps[i]
-		total += d[i]
-	}
-	dSum, dCnt := vSum-t.lastValSum, vCnt-t.lastValCnt
-	t.lastOps, t.lastValSum, t.lastValCnt = ops, vSum, vCnt
-
-	if total == 0 {
-		d = ops
-		for _, n := range ops {
-			total += n
-		}
-		dSum, dCnt = vSum, vCnt
-		if total == 0 {
-			return tuner.Signature{}
-		}
-	}
-	readFrac := float64(d[0]) / float64(total)
-	scanFrac := float64(d[3]) / float64(total)
-	meanVal := 0.0
-	if dCnt > 0 {
-		meanVal = float64(dSum) / float64(dCnt)
-	}
-	return tuner.MakeSignature(readFrac, scanFrac, meanVal)
 }
 
 var _ tuner.System = (*Tunable)(nil)

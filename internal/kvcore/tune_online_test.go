@@ -147,17 +147,9 @@ func TestRetuneIdleThenTraffic(t *testing.T) {
 		}
 	}
 	tn := &Tunable{S: s, Window: time.Millisecond, MaxCache: 128, CacheStep: 64}
-	// A simkv-seeded prior tuned for different hardware (8 simulated
-	// workers, the sweep's 10 000-item cache bound) lies outside this
-	// store's bounds: the controller skips it, and the reconfiguration
-	// burst is Optimize's own probes. Retune is operator-forced, so it
-	// searches although the store is idle.
-	priors := tuner.NewPriors()
-	priors.Update(tuner.MakeSignature(1, 0, 64),
-		tuner.Prior{Config: tuner.Config{CacheItems: 10000, MRThreads: 7}, Source: "simkv"})
-	ctl := tuner.NewController(tn, tuner.ControllerConfig{
-		Rate: s.Ops, Priors: priors, Signature: tn.Signature,
-	})
+	// Retune is operator-forced, so it searches although the store is idle:
+	// the reconfiguration burst is Optimize's own probes.
+	ctl := tuner.NewController(tn, tuner.ControllerConfig{Rate: s.Ops})
 	for round := 0; round < 3; round++ {
 		ctl.Retune() // zero traffic: every probe shares one switch index
 		done := make(chan error, 1)

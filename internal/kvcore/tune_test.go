@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"mutps/internal/obs"
 	"mutps/internal/tuner"
 )
 
@@ -50,6 +51,32 @@ func TestTunableMeasureAppliesConfig(t *testing.T) {
 	}
 	if s.HotItems() != 32 {
 		t.Fatalf("Measure must apply the hot-set target: %d", s.HotItems())
+	}
+}
+
+// TestTunerEnablesCacheRefreshes: a store opened with the CR cache off
+// still runs its refresher, so when the tuner turns the cache on the view
+// keeps following the traffic. Apply's own refresh lands before any
+// traffic and installs an empty view; only a later periodic refresh can
+// make the burst below hit at the CR layer.
+func TestTunerEnablesCacheRefreshes(t *testing.T) {
+	if obs.Disabled {
+		t.Skip("CRHits comes from the obs instruments")
+	}
+	s := openTest(t, Hash, func(c *Config) { c.HotItems = 0; c.RefreshInterval = 0 })
+	for k := uint64(0); k < 16; k++ {
+		s.Preload(k, []byte("hothotho"))
+	}
+	(&Tunable{S: s}).Apply(tuner.Config{CacheItems: 64, MRThreads: 1})
+	for deadline := time.Now().Add(time.Second); s.Stats().CRHits == 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("no CR hit 1s after the tuner enabled the cache: %+v", s.Stats())
+		}
+		for i := 0; i < 256; i++ {
+			if _, _, err := s.Get(uint64(i % 4)); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

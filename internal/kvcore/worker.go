@@ -277,12 +277,6 @@ func (s *Store) runCR(id int) {
 			s.reclaimTick(id)
 		}
 		s.tracker.Record(id, m.Key)
-		if m.Op == workload.OpPut {
-			// Every request passes through exactly one CR poll, so this is
-			// the one place value sizes can be observed once regardless of
-			// whether the put serves hot or forwards.
-			s.met.valSize.Record(id, uint64(len(m.Value)))
-		}
 		if s.tryServeHot(id, &m) {
 			continue
 		}

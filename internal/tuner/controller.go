@@ -43,12 +43,6 @@ type ControllerConfig struct {
 	// the throughput channel misses under admission-limited load (diurnal
 	// ramps, value-size shifts at a fixed offered rate).
 	Latency *obs.MeanSampler
-	// Priors seeds and accumulates per-signature best-known configs
-	// (optional).
-	Priors *Priors
-	// Signature classifies the current workload for the prior table
-	// (required if Priors is set).
-	Signature func() Signature
 	// Trace receives trigger/lat-trigger/suppress/retune/revert decisions
 	// (optional).
 	Trace *obs.DecisionTrace
@@ -64,8 +58,8 @@ const minGain = 0.05
 // sample → trigger → search → apply → verify. Traffic keeps flowing
 // throughout — Measure probes reconfigure the running system and read
 // the op counter, they never pause it. It owns the whole feedback state:
-// both trigger channels, the cooldown/min-gain verdict, the priors gate
-// and every decision-trace entry the tuner writes.
+// both trigger channels, the cooldown/min-gain verdict and every
+// decision-trace entry the tuner writes.
 type Controller struct {
 	sys System
 	cfg ControllerConfig
@@ -200,43 +194,15 @@ func (c *Controller) Retune() Result {
 	return c.retune(time.Now(), old, c.sys.Measure(old))
 }
 
-// retune searches from the baselined incumbent and applies the winner —
-// or reverts — leaving one "retune" or "revert" trace entry. Caller holds
-// c.mu.
+// retune runs the full hierarchical search (linear probe × trisection)
+// from the baselined incumbent and applies the winner — or reverts —
+// leaving one "retune" or "revert" trace entry. Caller holds c.mu.
 func (c *Controller) retune(now time.Time, old Config, oldScore float64) Result {
-	threads, ways, maxCache, _ := c.sys.Bounds()
+	threads, _, _, _ := c.sys.Bounds()
 	c.retunes.Add(1)
 	best, bestScore := old, oldScore
-	probes := 1 // the baseline
-
-	// Prior first: a single probe that usually lands near the optimum. A
-	// prior learned on another machine shape (the simkv sweep counts MR
-	// threads out of 8 simulated workers and grants LLC ways the real
-	// store cannot program) is consulted only when it fits this system's
-	// bounds: probing it would measure whatever Apply clamps it to.
-	var sig Signature
-	haveSig := c.cfg.Priors != nil && c.cfg.Signature != nil
-	if haveSig {
-		sig = c.cfg.Signature()
-		if pr, ok := c.cfg.Priors.Lookup(sig); ok {
-			pc := pr.Config
-			if pc.MRWays > ways {
-				pc.MRWays = ways
-			}
-			fits := pc.MRThreads >= 1 && pc.MRThreads <= threads-1 &&
-				pc.CacheItems >= 0 && pc.CacheItems <= maxCache
-			if fits && pc != old {
-				if s := c.sys.Measure(pc); s > bestScore {
-					best, bestScore = pc, s
-				}
-				probes++
-			}
-		}
-	}
-
-	// Full hierarchical search (linear probe × trisection).
 	opt := Optimize(c.sys)
-	probes += opt.Probes
+	probes := 1 + opt.Probes // the baseline, then the search
 	if opt.Score > bestScore {
 		best, bestScore = opt.Best, opt.Score
 	}
@@ -251,12 +217,6 @@ func (c *Controller) retune(now time.Time, old Config, oldScore float64) Result 
 		c.reverts.Add(1)
 	}
 	c.sys.Apply(best)
-
-	// A search that measured nothing (operator retune of an idle system)
-	// carries no information and must not overwrite what is known.
-	if haveSig && bestScore > 0 {
-		c.cfg.Priors.Update(sig, Prior{Config: best, Score: bestScore, Source: "online"})
-	}
 
 	c.record(obs.Decision{
 		Event:    event,

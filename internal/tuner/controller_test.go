@@ -1,7 +1,6 @@
 package tuner
 
 import (
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -152,83 +151,76 @@ func TestControllerStableWorkloadNoRetune(t *testing.T) {
 	}
 }
 
-// TestControllerPriorOutOfBounds: a prior learned on another machine
-// shape is skipped, not clamped and probed — zero probe windows — while
-// one that fits is probed with the LLC grant cut to what the system
-// exposes. {3000, 6, 8} is what the 8-worker simkv sweep writes. Either
-// way the search's winner is written back with source "online".
+// TestControllerPriorOutOfBounds: the configuration a retune starts from
+// may lie outside the search's bounds (a server started with -hot past
+// the hot-set bound, or a split for more workers than it has). The
+// baseline measures it as it is, the search probes only in-bounds
+// configurations, and the verdict either keeps the prior configuration or
+// installs an in-bounds winner — never a mix of the two.
 func TestControllerPriorOutOfBounds(t *testing.T) {
+	const threads, maxCache, step = 4, 8192, 4096
+	inBounds := func(c Config) bool {
+		return c.CacheItems >= 0 && c.CacheItems <= maxCache && c.CacheItems%step == 0 &&
+			c.MRThreads >= 1 && c.MRThreads <= threads-1 && c.MRWays == 0
+	}
 	cases := []struct {
-		name   string
-		prior  Config
-		probed Config // zero value: must not be probed at all
+		name     string
+		prior    Config
+		score    float64 // the prior's score; every in-bounds probe scores 1000
+		wantKept bool
 	}{
-		{"mr-threads out of 8 workers", Config{CacheItems: 3000, MRThreads: 6, MRWays: 8}, Config{}},
-		{"cache past the hot-set bound", Config{CacheItems: 10000, MRThreads: 2}, Config{}},
-		{"no mr thread", Config{CacheItems: 3000, MRThreads: 0}, Config{}},
-		{"fits once the ways are cut", Config{CacheItems: 3000, MRThreads: 3, MRWays: 8}, Config{CacheItems: 3000, MRThreads: 3}},
+		{"mr-threads out of 4 workers", Config{CacheItems: 4096, MRThreads: 6, MRWays: 8}, 990, true},
+		{"cache past the hot-set bound", Config{CacheItems: 10000, MRThreads: 2}, 500, false},
+		{"no mr thread", Config{CacheItems: 3000, MRThreads: 0}, 1000, true},
+		{"ways past the single point", Config{CacheItems: 4096, MRThreads: 3, MRWays: 8}, 100, false},
 	}
 	for _, tc := range cases {
 		sys := &ctlSystem{
-			cur: Config{MRThreads: 1}, threads: 4, maxCache: 8192, step: 4096,
-			score: func(c Config) float64 { return 1000 },
+			cur: tc.prior, threads: threads, maxCache: maxCache, step: step,
+			score: func(c Config) float64 {
+				if c == tc.prior {
+					return tc.score
+				}
+				return 1000
+			},
 		}
-		priors := NewPriors()
-		sig := MakeSignature(0.5, 0, 512)
-		priors.Update(sig, Prior{Config: tc.prior, Score: 12.5, Source: "simkv"})
-		c := NewController(sys, ControllerConfig{
-			Rate:      newSynthRate(1000).read,
-			Priors:    priors,
-			Signature: func() Signature { return sig },
-		})
+		c := NewController(sys, ControllerConfig{Rate: newSynthRate(1000).read})
 		res := c.Retune()
 		if res.Probes != len(sys.measured) {
 			t.Errorf("%s: %d probes reported, %d Measure calls", tc.name, res.Probes, len(sys.measured))
 		}
-		// Optimize only visits cache sizes 0, 4096 and 8192, so a probe at
-		// the prior's size can only be the prior probe.
-		var got Config
-		for _, m := range sys.measured {
-			if m.CacheItems == tc.prior.CacheItems {
-				got = m
+		if len(sys.measured) < 2 || sys.measured[0] != tc.prior {
+			t.Fatalf("%s: probes %+v, want the prior's baseline then a search", tc.name, sys.measured)
+		}
+		for _, m := range sys.measured[1:] {
+			if !inBounds(m) {
+				t.Errorf("%s: search probed %+v, outside threads=%d maxCache=%d step=%d", tc.name, m, threads, maxCache, step)
 			}
 		}
-		if got != tc.probed {
-			t.Errorf("%s: prior %+v probed as %+v, want %+v", tc.name, tc.prior, got, tc.probed)
-		}
-		if pr, _ := priors.Lookup(sig); pr.Source != "online" || pr.Config != res.Best {
-			t.Errorf("%s: prior not refined online: %+v, search chose %+v", tc.name, pr, res.Best)
+		if tc.wantKept {
+			if sys.Current() != tc.prior || res.Best != tc.prior || res.Score != tc.score {
+				t.Errorf("%s: verdict %+v (score %v), system runs %+v; want the prior kept", tc.name, res.Best, res.Score, sys.Current())
+			}
+		} else if !inBounds(res.Best) || sys.Current() != res.Best || res.Score != 1000 {
+			t.Errorf("%s: verdict %+v (score %v), system runs %+v; want an in-bounds winner installed", tc.name, res.Best, res.Score, sys.Current())
 		}
 	}
 }
 
 // TestControllerIdleDoesNotSearch: a server that goes idle fires the
 // throughput trigger, but every probe would measure 0 — the controller
-// must spend one probe finding that out, apply nothing, start no cooldown
-// and leave the prior table alone. An operator Retune still searches (the
-// idle reconfiguration burst TestRetuneIdleThenTraffic needs), and still
-// must not overwrite a prior with a score-0 result.
+// must spend one probe finding that out, apply nothing and start no
+// cooldown. An operator Retune still searches (the idle reconfiguration
+// burst TestRetuneIdleThenTraffic needs).
 func TestControllerIdleDoesNotSearch(t *testing.T) {
 	incumbent := Config{CacheItems: 200, MRThreads: 2}
 	sys := &ctlSystem{
 		cur: incumbent, threads: 8, maxCache: 4000, step: 1000,
 		score: func(Config) float64 { return 0 },
 	}
-	priors := NewPriors()
-	sig := MakeSignature(0.5, 0, 512)
-	priors.Update(sig, Prior{Config: Config{CacheItems: 3000, MRThreads: 6, MRWays: 8}, Score: 12.5, Source: "simkv"})
-	before, err := priors.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
 	rate := newSynthRate(1e6)
 	trace := obs.NewDecisionTrace(64)
-	c := NewController(sys, ControllerConfig{
-		Rate:      rate.read,
-		Priors:    priors,
-		Signature: func() Signature { return sig },
-		Trace:     trace,
-	})
+	c := NewController(sys, ControllerConfig{Rate: rate.read, Trace: trace})
 
 	now := time.Unix(4000, 0)
 	for i := 0; i < 6; i++ {
@@ -245,10 +237,6 @@ func TestControllerIdleDoesNotSearch(t *testing.T) {
 	}
 	if sys.Current() != incumbent {
 		t.Fatalf("idle transition moved the config to %+v", sys.Current())
-	}
-	after, _ := priors.MarshalJSON()
-	if string(after) != string(before) {
-		t.Fatalf("idle transition rewrote the priors:\n before %s\n after  %s", before, after)
 	}
 	if got := events(trace); len(got) != 2 || got[0] != "trigger" || got[1] != "suppress" {
 		t.Fatalf("trace = %v, want [trigger suppress]", got)
@@ -269,16 +257,11 @@ func TestControllerIdleDoesNotSearch(t *testing.T) {
 		t.Fatalf("%d searches in the second after the idle tick, want 1 (0: the idle tick started a cooldown)", retunes)
 	}
 
-	// Operator action on an idle system: searches, writes no prior.
+	// Operator action on an idle system: searches.
 	sys.score = func(Config) float64 { return 0 }
-	priors.Update(sig, Prior{Config: Config{CacheItems: 3000, MRThreads: 6, MRWays: 8}, Score: 12.5, Source: "simkv"})
 	sys.measured = nil
 	if res := c.Retune(); res.Probes < 2 || len(sys.measured) != res.Probes {
 		t.Fatalf("forced retune on an idle system probed %d times (%d Measure calls), want a full search", res.Probes, len(sys.measured))
-	}
-	after, _ = priors.MarshalJSON()
-	if string(after) != string(before) {
-		t.Fatalf("score-0 search rewrote the priors:\n before %s\n after  %s", before, after)
 	}
 }
 
@@ -457,6 +440,27 @@ func TestControllerTraceSequences(t *testing.T) {
 			if tc.check != nil {
 				tc.check(t, ds)
 			}
+			// Probe accounting: a search costs the incumbent's baseline plus
+			// Optimize's own probes, and reports exactly the Measure calls it
+			// made — in its trace entry and in Retune's Result.
+			search := 1 + Optimize(&ctlSystem{threads: sys.threads, maxCache: sys.maxCache, step: sys.step, score: tc.score}).Probes
+			traced := 0
+			for _, d := range ds {
+				if d.Event == "retune" || d.Event == "revert" {
+					if d.Probes != search {
+						t.Fatalf("%s traced %d probes, want 1 + Optimize's = %d", d.Event, d.Probes, search)
+					}
+					traced += d.Probes
+				}
+			}
+			if !tc.noTrace && traced != len(sys.measured) {
+				t.Fatalf("searches traced %d probes, %d Measure calls", traced, len(sys.measured))
+			}
+			sys.measured = nil
+			if res := c.Retune(); res.Probes != len(sys.measured) || res.Probes != search {
+				t.Fatalf("Retune reported %d probes, made %d Measure calls, want 1 + Optimize's = %d",
+					res.Probes, len(sys.measured), search)
+			}
 		})
 	}
 }
@@ -477,55 +481,4 @@ func TestControllerStartStop(t *testing.T) {
 		t.Fatal("background loop never ticked")
 	}
 	c.Stop() // idempotent
-}
-
-func TestPriorsRoundTrip(t *testing.T) {
-	p := NewPriors()
-	s1 := MakeSignature(0.9, 0, 512)
-	s2 := MakeSignature(0.5, 0.05, 8)
-	p.Update(s1, Prior{Config: Config{CacheItems: 4096, MRThreads: 3}, Score: 1.5e6, Source: "simkv"})
-	p.Update(s2, Prior{Config: Config{CacheItems: 1024, MRThreads: 2}, Score: 9e5, Source: "online"})
-
-	path := filepath.Join(t.TempDir(), "priors.json")
-	if err := p.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadPriors(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 2 {
-		t.Fatalf("loaded %d priors, want 2", got.Len())
-	}
-	pr, ok := got.Lookup(s1)
-	if !ok || pr.Config.CacheItems != 4096 || pr.Source != "simkv" {
-		t.Fatalf("s1 prior = %+v ok=%v", pr, ok)
-	}
-}
-
-func TestSignatureBucketsAndParse(t *testing.T) {
-	cases := []struct {
-		read, scan, mean float64
-		want             string
-	}{
-		{0.9, 0, 512, "r90-v512-s0"},
-		{0.95, 0, 500, "r100-v512-s0"}, // 500 rounds to the 512 class
-		{0.5, 0.05, 8, "r50-v8-s10"},   // 0.05 rounds up to 10%
-		{0, 0, 0, "r0-v0-s0"},
-		{1, 0, 700, "r100-v512-s0"}, // log2(700)=9.45 → 512
-		{1, 0, 760, "r100-v1024-s0"},
-	}
-	for _, c := range cases {
-		sig := MakeSignature(c.read, c.scan, c.mean)
-		if sig.String() != c.want {
-			t.Errorf("MakeSignature(%v,%v,%v) = %s, want %s", c.read, c.scan, c.mean, sig, c.want)
-		}
-		back, err := ParseSignature(sig.String())
-		if err != nil || back != sig {
-			t.Errorf("ParseSignature(%s) = %+v, %v", sig, back, err)
-		}
-	}
-	if _, err := ParseSignature("bogus"); err == nil {
-		t.Error("ParseSignature accepted garbage")
-	}
 }

@@ -16,9 +16,9 @@ package tuner
 
 // Config is one point in the scheduling space the auto-tuner explores.
 type Config struct {
-	CacheItems int `json:"cache_items"` // hot items kept at the cache-resident layer
-	MRThreads  int `json:"mr_threads"`  // worker threads assigned to the memory-resident layer
-	MRWays     int `json:"mr_ways"`     // LLC ways the memory-resident layer may allocate into
+	CacheItems int // hot items kept at the cache-resident layer
+	MRThreads  int // worker threads assigned to the memory-resident layer
+	MRWays     int // LLC ways the memory-resident layer may allocate into
 }
 
 // Reconfigurable is the system under tuning. Measure applies a
