@@ -3,7 +3,7 @@
 // Usage:
 //
 //	mutps-server -addr :7070 -engine tree -workers 8 -cr 2
-//	mutps-server -addr :7070 -metrics-addr :9090   # Prometheus on :9090/metrics
+//	mutps-server -addr :7070 -metrics-addr :9090   # Prometheus on :9090/metrics, pprof on :9090/debug/pprof/
 package main
 
 import (
@@ -12,6 +12,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
@@ -29,7 +30,7 @@ func main() {
 	cr := flag.Int("cr", 1, "initial cache-resident workers")
 	hot := flag.Int("hot", 4096, "hot-set cache target (0 disables)")
 	metricsAddr := flag.String("metrics-addr", "",
-		"serve Prometheus text on /metrics and the tuner decision trace on /trace at this address (empty disables)")
+		"serve Prometheus text on /metrics, the tuner decision trace on /trace and Go profiles on /debug/pprof/ at this address (empty disables)")
 	idleTimeout := flag.Duration("idle-timeout", 0,
 		"close connections idle for this long (0 disables)")
 	maxConns := flag.Int("max-conns", 0,
@@ -132,15 +133,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", obs.Handler(store.Metrics()))
-		mux.Handle("/trace", obs.TraceHandler(store.Trace()))
 		go func() {
-			if err := http.Serve(mln, mux); err != nil {
+			if err := http.Serve(mln, metricsMux(store)); err != nil {
 				log.Printf("metrics endpoint: %v", err)
 			}
 		}()
-		log.Printf("metrics on http://%s/metrics, decision trace on /trace", mln.Addr())
+		log.Printf("metrics on http://%s/metrics, decision trace on /trace, profiles on /debug/pprof/", mln.Addr())
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -154,6 +152,21 @@ func main() {
 	}
 	srv.Close()
 	store.Close()
+}
+
+// metricsMux serves the -metrics-addr endpoints: Prometheus text, the
+// tuner decision trace, and the Go runtime profiles, so a live server can
+// be profiled under load without a rebuild.
+func metricsMux(store *kvcore.Store) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", obs.Handler(store.Metrics()))
+	mux.Handle("/trace", obs.TraceHandler(store.Trace()))
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 // parseSize parses a byte count with an optional K/M/G suffix (powers of

@@ -1,9 +1,11 @@
 // Package arena is a size-classed slab allocator for item value storage:
 // the GC-quiet backing store for the write path. Values live as word
 // arrays ([]atomic.Uint64, the representation internal/seqitem reads and
-// writes) carved from large backing chunks, in power-of-two size classes
-// from 16 bytes to 4 KiB; anything larger falls back to the Go allocator
-// (counted, so the dashboard shows when a workload outgrows the classes).
+// writes) carved from large backing chunks, in 28 size classes from 16
+// bytes to 4 KiB — 16-byte steps to 64 B, then four classes per doubling,
+// so a slot wastes under a quarter of any value above 64 B; anything larger
+// falls back to the Go allocator (counted, so the dashboard shows when a
+// workload outgrows the classes).
 //
 // The concurrency structure mirrors the store's thread model. Each worker
 // owns a Cache of per-class free lists and allocates and frees against it
@@ -30,11 +32,21 @@ import (
 )
 
 const (
-	// MinClassBytes .. MaxClassBytes bound the size classes; NumClasses
-	// power-of-two classes span them (16, 32, ..., 4096).
+	// MinClassBytes .. MaxClassBytes bound the size classes. NumClasses
+	// classes span them: 16-byte steps up to 64 B (16, 32, 48, 64), then
+	// four per doubling (80, 96, 112, 128, 160, ..., 3584, 4096), so a value
+	// over 64 B wastes less than a quarter of its size and every slot is a
+	// multiple of 16 B.
 	MinClassBytes = 16
 	MaxClassBytes = 4096
-	NumClasses    = 9
+	NumClasses    = 28
+
+	// smallClasses are the 16-byte steps up to smallMaxBytes (1<<smallLog2);
+	// each doubling above that is split into 1<<stepsLog2 classes.
+	smallClasses  = 4
+	smallLog2     = 6
+	smallMaxBytes = 1 << smallLog2
+	stepsLog2     = 2
 
 	// batchSlots is the refill/flush transfer unit between a worker cache
 	// and the central free list, and localCap (2×) the local free-list
@@ -52,15 +64,25 @@ func Pooled(n int) bool { return n <= MaxClassBytes }
 
 // classFor maps a byte size in (0, MaxClassBytes] to its class index.
 func classFor(n int) int {
-	if n <= MinClassBytes {
-		return 0
+	if n <= smallMaxBytes {
+		return (n - 1) / MinClassBytes // n == 0 (Get's one-word minimum) truncates to 0 too
 	}
-	// Round up to a power of two, then log2 relative to MinClassBytes.
-	return bits.Len(uint(n-1)) - 4
+	// 2^k < n ≤ 2^(k+1): the doubling above 2^k, cut into steps of
+	// 2^(k-stepsLog2) bytes.
+	k := bits.Len(uint(n-1)) - 1
+	step := (n - 1 - 1<<k) >> (k - stepsLog2)
+	return smallClasses + (k-smallLog2)<<stepsLog2 + step
 }
 
 // classBytes returns class c's slot size in bytes.
-func classBytes(c int) int { return MinClassBytes << c }
+func classBytes(c int) int {
+	if c < smallClasses {
+		return (c + 1) * MinClassBytes
+	}
+	c -= smallClasses
+	base := smallMaxBytes << (c >> stepsLog2)
+	return base + (c&(1<<stepsLog2-1)+1)*(base>>stepsLog2)
+}
 
 // classWords returns class c's slot size in 8-byte words.
 func classWords(c int) int { return classBytes(c) / 8 }

@@ -6,28 +6,42 @@ import (
 	"testing"
 )
 
+// TestClassFor checks the class table's properties over every pooled
+// size: each size maps to the smallest class that holds it, each class
+// round-trips through its own slot size (Put re-derives the class from
+// cap), slots are whole 16-byte units, and above 64 B the slot wastes less
+// than a quarter of the value.
 func TestClassFor(t *testing.T) {
-	cases := []struct{ n, class, bytes int }{
-		{1, 0, 16}, {8, 0, 16}, {16, 0, 16},
-		{17, 1, 32}, {24, 1, 32}, {32, 1, 32},
-		{33, 2, 64}, {64, 2, 64},
-		{65, 3, 128}, {128, 3, 128},
-		{129, 4, 256}, {256, 4, 256},
-		{257, 5, 512}, {512, 5, 512},
-		{513, 6, 1024}, {1024, 6, 1024},
-		{1025, 7, 2048}, {2048, 7, 2048},
-		{2049, 8, 4096}, {4096, 8, 4096},
+	if got := classBytes(NumClasses - 1); got != MaxClassBytes {
+		t.Fatalf("largest class holds %d bytes, want %d", got, MaxClassBytes)
 	}
-	for _, c := range cases {
-		if got := classFor(c.n); got != c.class {
-			t.Errorf("classFor(%d) = %d, want %d", c.n, got, c.class)
+	for c := 0; c < NumClasses; c++ {
+		b := classBytes(c)
+		if got := classFor(b); got != c {
+			t.Errorf("classFor(classBytes(%d) = %d) = %d", c, b, got)
 		}
-		if got := classBytes(c.class); got != c.bytes {
-			t.Errorf("classBytes(%d) = %d, want %d", c.class, got, c.bytes)
+		if b%16 != 0 {
+			t.Errorf("class %d: %d-byte slot is not a multiple of 16", c, b)
+		}
+		if c > 0 && b <= classBytes(c-1) {
+			t.Errorf("class %d: %d bytes, not above class %d's %d", c, b, c-1, classBytes(c-1))
 		}
 	}
-	if NumClasses != classFor(MaxClassBytes)+1 {
-		t.Errorf("NumClasses = %d, want %d", NumClasses, classFor(MaxClassBytes)+1)
+	if got := classFor(0); got != 0 { // an empty value still takes one slot
+		t.Errorf("classFor(0) = %d, want 0", got)
+	}
+	for n := 1; n <= MaxClassBytes; n++ {
+		c := classFor(n)
+		if c < 0 || c >= NumClasses {
+			t.Fatalf("classFor(%d) = %d, out of [0, %d)", n, c, NumClasses)
+		}
+		slot := classBytes(c)
+		if slot < n || (c > 0 && classBytes(c-1) >= n) {
+			t.Fatalf("classFor(%d) = %d (%d B), not the smallest class holding %d bytes", n, c, slot, n)
+		}
+		if n > smallMaxBytes && 4*(slot-n) >= n {
+			t.Fatalf("classFor(%d): %d-byte slot wastes %d B, not under 25%%", n, slot, slot-n)
+		}
 	}
 }
 

@@ -8,10 +8,11 @@ import (
 
 // Instrument registers the arena's accounting with a metrics registry:
 // total live bytes, per-class occupancy (live, ever-carved, and
-// central-free slots), and the traffic counters (chunk allocations, cache
-// refills/flushes, large-object fallbacks). All series are collection-time
-// funcs over the arena's lock-free counters — scraping costs the hot path
-// nothing.
+// central-free slots, one series per class for all 28 classes, labelled
+// class="<slot bytes>"), and the traffic counters (chunk allocations,
+// cache refills/flushes, large-object fallbacks). All series are
+// collection-time funcs over the arena's lock-free counters — scraping
+// costs the hot path nothing.
 func (a *Arena) Instrument(reg *obs.Registry) {
 	reg.GaugeFunc("mutps_arena_live_bytes", "",
 		"Bytes of item value storage currently held out of the arena (slot-size granularity).",

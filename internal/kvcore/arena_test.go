@@ -3,14 +3,46 @@ package kvcore
 import (
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"mutps/internal/rpc"
+	"mutps/internal/seqitem"
 	"mutps/internal/workload"
 )
+
+// TestBytesPerItem is the memory-resident layer's density gate: 100k items
+// of uniform 64–512 B values (uniform_mix's shape) may hold at most 1.12×
+// their value bytes in arena slots, and an item header fits one 64-byte
+// cache line. With -v it prints the per-item ledger.
+func TestBytesPerItem(t *testing.T) {
+	const keys = 100_000
+	s := openAllocStore(t, 0)
+	rng := rand.New(rand.NewSource(34))
+	val := make([]byte, 512)
+	var valueBytes uint64
+	for k := uint64(0); k < keys; k++ {
+		n := 64 + rng.Intn(512-64+1)
+		binary.LittleEndian.PutUint64(val, k)
+		s.Preload(k, val[:n])
+		valueBytes += uint64(n)
+	}
+	slotBytes := uint64(s.Metrics().SnapshotMap()["mutps_arena_live_bytes"])
+	header := unsafe.Sizeof(seqitem.Item{})
+	t.Logf("per item: %.1f B value, %.1f B slot (%.3fx), %d B header",
+		float64(valueBytes)/keys, float64(slotBytes)/keys, float64(slotBytes)/float64(valueBytes), header)
+	if limit := valueBytes * 112 / 100; slotBytes > limit {
+		t.Errorf("arena holds %d B for %d B of values (%.3fx), want at most 1.12x",
+			slotBytes, valueBytes, float64(slotBytes)/float64(valueBytes))
+	}
+	if header > 64 {
+		t.Errorf("item header is %d B, want at most one 64 B cache line", header)
+	}
+}
 
 // TestPutSameClassAllocFree locks in this PR's tentpole: a size-changing
 // put whose old and new values share an arena size class is an item
@@ -111,7 +143,7 @@ func TestEpochReclamationStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	const keys = 64
-	sizes := []int{16, 24, 32, 40} // classes 16/32/32/64: mixes reuse and class hops
+	sizes := []int{16, 24, 32, 40} // classes 16/32/32/48: mixes reuse and class hops
 	mkval := func(k uint64, sz int) []byte {
 		v := make([]byte, sz)
 		binary.LittleEndian.PutUint64(v, k)

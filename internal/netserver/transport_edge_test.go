@@ -470,11 +470,14 @@ func TestKilledPeerReapedWithoutRequest(t *testing.T) {
 		}
 		conn.(*net.TCPConn).SetLinger(0) // Close sends a reset
 		conn.Close()
-		if !eventually(5*time.Second, func() bool { return openConns(srv) == 0 }) {
-			t.Fatal("the killed peer's connection is still open")
+		// drop unlinks the connection before it closes it and settles the
+		// gauges, so the gauges are polled too, not read once the map is empty.
+		gaugesZero := func() bool {
+			return obs.Disabled || (srv.openConns.Value() == 0 && srv.idleConns.Value() == 0 && srv.parkedConns.Value() == 0)
 		}
-		if !obs.Disabled && (srv.openConns.Value() != 0 || srv.idleConns.Value() != 0 || srv.parkedConns.Value() != 0) {
-			t.Fatalf("gauges after the reap: %d open, %d idle, %d parked", srv.openConns.Value(), srv.idleConns.Value(), srv.parkedConns.Value())
+		if !eventually(5*time.Second, func() bool { return openConns(srv) == 0 && gaugesZero() }) {
+			t.Fatalf("after the reap: %d connections in the map, gauges %d open, %d idle, %d parked",
+				openConns(srv), srv.openConns.Value(), srv.idleConns.Value(), srv.parkedConns.Value())
 		}
 	})
 }

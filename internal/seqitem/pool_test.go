@@ -14,6 +14,9 @@ func TestPoolRoundTrip(t *testing.T) {
 	if got := it.Read(nil); !bytes.Equal(got, []byte("hello, arena")) {
 		t.Fatalf("Read = %q", got)
 	}
+	if it.Size() != 12 || it.SlotBytes() != 16 {
+		t.Fatalf("Size %d, SlotBytes %d; want 12 in a 16-byte slot", it.Size(), it.SlotBytes())
+	}
 	if !it.Write([]byte("HELLO, ARENA")) {
 		t.Fatal("same-size Write failed")
 	}
@@ -75,6 +78,9 @@ func TestPoolNilCacheFallsBack(t *testing.T) {
 	if got := it.Read(nil); !bytes.Equal(got, []byte("no arena")) {
 		t.Fatalf("Read = %q", got)
 	}
+	if it.SlotBytes() != 0 {
+		t.Errorf("heap-backed item pins %d arena bytes", it.SlotBytes())
+	}
 	p.Recycle(it) // must not panic with no cache
 }
 
@@ -85,6 +91,9 @@ func TestPoolLargeValueFallback(t *testing.T) {
 	it := NewIn(p, big)
 	if got := it.Read(nil); !bytes.Equal(got, big) {
 		t.Fatal("large value round-trip failed")
+	}
+	if it.Size() != len(big) || it.SlotBytes() != 0 {
+		t.Errorf("Size %d, SlotBytes %d; want %d on the heap", it.Size(), it.SlotBytes(), len(big))
 	}
 	p.Recycle(it)
 	if st := a.Snapshot(); st.Fallbacks != 1 {

@@ -30,17 +30,19 @@ const (
 
 // Item is a fixed-size mutable KV value with embedded lock/version bits.
 // Create items with New.
+//
+// The header is 64 bytes with no padding — one cache line when it sits on
+// a 64-byte boundary, as it does in a Pool's header chunks. Size and slab
+// flag share one 32-bit field and dead fills the other half of the last
+// word, which caps a value at maxSize bytes.
 type Item struct {
-	size  int
 	meta  atomic.Uint64
 	words []atomic.Uint64
 
 	// moved points to the item's replacement after a size-changing update
 	// swapped the index pointer; stale holders (e.g. the CR layer's hot-set
-	// view) transparently follow it. dead marks a deleted item so stale
-	// holders treat lookups as misses.
+	// view) transparently follow it.
 	moved atomic.Pointer[Item]
-	dead  atomic.Bool
 
 	// exp is the item's absolute expiry deadline in Unix nanoseconds
 	// (0 = never expires). It lives in the header — not the value words —
@@ -52,10 +54,38 @@ type Item struct {
 	// store's reclamation protocol (DESIGN.md §11) uses it to decide when a
 	// retired item can no longer be reached through a stale view.
 	viewGen atomic.Uint64
-	// slab is true when words was carved from the arena and must be
-	// returned on Recycle. Set once at allocation, read only by the pool.
-	slab bool
+
+	// sizeSlab is the value size in bytes shifted left by one, with bit 0
+	// set when words was carved from the arena and must be returned on
+	// Recycle. Written once at allocation, like the words it describes.
+	sizeSlab uint32
+
+	// dead marks a deleted item so stale holders treat lookups as misses.
+	dead atomic.Bool
 }
+
+// maxSize is the largest value an Item holds (2 GiB − 1): the size shares
+// its 32-bit header field with the slab flag. The wire protocol caps
+// values at 16 MiB, so only an embedder can reach it.
+const maxSize = 1<<31 - 1
+
+// sizeSlabOf packs a value size and the slab flag into Item.sizeSlab.
+func sizeSlabOf(n int, slab bool) uint32 {
+	if n > maxSize {
+		panic("seqitem: value larger than maxSize")
+	}
+	v := uint32(n) << 1
+	if slab {
+		v |= 1
+	}
+	return v
+}
+
+// size returns the record's own value size in bytes.
+func (it *Item) size() int { return int(it.sizeSlab >> 1) }
+
+// slab reports whether the record's words are an arena slot.
+func (it *Item) slab() bool { return it.sizeSlab&1 != 0 }
 
 // Latest follows the replacement chain to the current item record.
 func (it *Item) Latest() *Item {
@@ -108,14 +138,14 @@ func New(val []byte) *Item {
 	if nw == 0 {
 		nw = 1
 	}
-	it := &Item{size: n, words: make([]atomic.Uint64, nw)}
+	it := &Item{sizeSlab: sizeSlabOf(n, false), words: make([]atomic.Uint64, nw)}
 	it.storeWords(val)
 	return it
 }
 
 // Size returns the current record's fixed value size in bytes (following
 // any replacement chain).
-func (it *Item) Size() int { return it.Latest().size }
+func (it *Item) Size() int { return it.Latest().size() }
 
 func (it *Item) storeWords(val []byte) {
 	n := len(val)
@@ -129,7 +159,7 @@ func (it *Item) storeWords(val []byte) {
 }
 
 func (it *Item) loadWords(dst []byte) {
-	n := it.size
+	n := it.size()
 	for w := 0; w*8 < n; w++ {
 		chunk := it.words[w].Load()
 		for b := 0; b < 8 && w*8+b < n; b++ {
@@ -145,10 +175,11 @@ func (it *Item) loadWords(dst []byte) {
 // racing unlink (delete or eviction) cannot silently swallow the update.
 func (it *Item) Write(val []byte) bool {
 	it = it.Latest()
-	if len(val) != it.size {
+	n := it.size()
+	if len(val) != n {
 		return false
 	}
-	if it.size <= 8 {
+	if n <= 8 {
 		// The paper's fast path: the whole value is one word, so a single
 		// atomic store is a complete, untearable update.
 		var chunk uint64
@@ -193,7 +224,7 @@ func (it *Item) Write(val []byte) bool {
 // returns a slice longer than Size.
 func (it *Item) Read(buf []byte) []byte {
 	it = it.Latest()
-	n := it.size
+	n := it.size()
 	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
@@ -252,7 +283,7 @@ func (it *Item) ViewGen() uint64 { return it.viewGen.Load() }
 // store's budget accounting uses it to project how much memory a retired
 // item will release once recycled.
 func (it *Item) SlotBytes() int {
-	if !it.slab {
+	if !it.slab() {
 		return 0
 	}
 	return cap(it.words) * 8
@@ -307,17 +338,18 @@ func NewIn(p *Pool, val []byte) *Item {
 		nw = 1
 	}
 	// Reset every header field: recycled headers carry a dead item's state.
-	it.size = n
 	it.meta.Store(0)
 	it.moved.Store(nil)
 	it.dead.Store(false)
 	it.exp.Store(0)
 	it.viewGen.Store(0)
+	slab := false
 	if p.cache != nil {
-		it.words, it.slab = p.cache.Get(n)
+		it.words, slab = p.cache.Get(n)
 	} else {
-		it.words, it.slab = make([]atomic.Uint64, nw), false
+		it.words = make([]atomic.Uint64, nw)
 	}
+	it.sizeSlab = sizeSlabOf(n, slab)
 	it.storeWords(val)
 	return it
 }
@@ -325,7 +357,7 @@ func NewIn(p *Pool, val []byte) *Item {
 // Recycle returns an item's value slot to the arena and its header to the
 // pool's free list. See the Pool comment for the reachability contract.
 func (p *Pool) Recycle(it *Item) {
-	if it.slab {
+	if it.slab() {
 		p.cache.Put(it.words)
 	}
 	it.words = nil
