@@ -10,9 +10,7 @@ import (
 	"time"
 	"unsafe"
 
-	"mutps/internal/rpc"
 	"mutps/internal/seqitem"
-	"mutps/internal/workload"
 )
 
 // TestBytesPerItem is the memory-resident layer's density gate: 100k items
@@ -83,9 +81,10 @@ func TestPutSameClassAllocFree(t *testing.T) {
 	}
 }
 
-// TestScanAllocFree gates the scan satellite: on the raw async path a
-// warmed-up scan allocates nothing — keys, values, and value bytes all
-// land in the call's pooled result buffers (ScanKeys/ScanVals/ScanBuf).
+// TestScanAllocFree gates the scan satellite: on the async path the wire
+// server uses (ScanAsync) a warmed-up scan allocates nothing — keys,
+// values, and value bytes all land in the call's pooled result buffers
+// (ScanKeys/ScanVals/ScanBuf).
 func TestScanAllocFree(t *testing.T) {
 	s, err := Open(Config{
 		Engine:    Tree,
@@ -100,7 +99,7 @@ func TestScanAllocFree(t *testing.T) {
 	preloadKeys(s, 128)
 
 	scan := func() {
-		call, err := s.SendAsync(rpc.Message{Op: workload.OpScan, Key: 10, ScanCount: 50})
+		call, err := s.ScanAsync(10, 50, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -493,14 +493,22 @@ const MaxScanCount = 0xFFFF
 // Scan returns up to count entries with keys >= start in ascending order.
 // It requires the Tree engine and 0 ≤ count ≤ MaxScanCount.
 func (s *Store) Scan(start uint64, count int) ([]KV, error) {
-	if s.scanIdx == nil {
-		return nil, fmt.Errorf("kvcore: scan requires the tree engine")
-	}
-	if count < 0 || count > MaxScanCount {
-		return nil, fmt.Errorf("kvcore: scan count %d outside [0, %d]", count, MaxScanCount)
+	if err := s.checkScan(count); err != nil {
+		return nil, err
 	}
 	r, err := s.roundTrip(rpc.Message{Op: workload.OpScan, Key: start, ScanCount: count})
 	return r.kvs, err
+}
+
+// checkScan is the validation Scan and ScanAsync share.
+func (s *Store) checkScan(count int) error {
+	if s.scanIdx == nil {
+		return fmt.Errorf("kvcore: scan requires the tree engine")
+	}
+	if count < 0 || count > MaxScanCount {
+		return fmt.Errorf("kvcore: scan count %d outside [0, %d]", count, MaxScanCount)
+	}
+	return nil
 }
 
 // copyScan copies a completed scan's entries out of the call's pooled
@@ -565,6 +573,19 @@ func (s *Store) PutTTLAsync(key uint64, val []byte, ttl time.Duration, notify *b
 // waiting; call.Found reports whether the key existed.
 func (s *Store) DeleteAsync(key uint64, notify *bell.Bell) (*rpc.Call, error) {
 	return s.rpc.Send(rpc.Message{Op: workload.OpDelete, Key: key, Notify: notify})
+}
+
+// ScanAsync submits a scan of up to count entries with keys >= start and
+// returns its completion future without waiting; it rejects what Scan
+// rejects (a hash store, count outside [0, MaxScanCount]) before
+// submitting. After completion call.ScanKeys/call.ScanVals carry the
+// entries, and the values alias the call's pooled ScanBuf: they are valid
+// only until Release, so a caller that keeps them copies them first.
+func (s *Store) ScanAsync(start uint64, count int, notify *bell.Bell) (*rpc.Call, error) {
+	if err := s.checkScan(count); err != nil {
+		return nil, err
+	}
+	return s.rpc.Send(rpc.Message{Op: workload.OpScan, Key: start, ScanCount: count, Notify: notify})
 }
 
 // --- manager operations ----------------------------------------------------

@@ -130,6 +130,44 @@ func TestScanHashEngineRejected(t *testing.T) {
 	}
 }
 
+// TestScanAsync: the async scan returns what Scan returns, in the call's
+// pooled result slices, and rejects what Scan rejects before submitting.
+func TestScanAsync(t *testing.T) {
+	s := openTest(t, Tree, nil)
+	for i := uint64(0); i < 100; i += 2 {
+		s.Put(i, []byte{byte(i), byte(i >> 8)})
+	}
+	want, err := s.Scan(11, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	call, err := s.ScanAsync(11, 7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	call.Wait()
+	if call.Err != nil || len(call.ScanKeys) != len(want) || len(call.ScanVals) != len(want) {
+		t.Fatalf("ScanAsync: %d keys, %d values, err %v; want %d entries",
+			len(call.ScanKeys), len(call.ScanVals), call.Err, len(want))
+	}
+	for i, kv := range want {
+		if call.ScanKeys[i] != kv.Key || !bytes.Equal(call.ScanVals[i], kv.Value) {
+			t.Fatalf("entry %d = %d %x, want %d %x", i, call.ScanKeys[i], call.ScanVals[i], kv.Key, kv.Value)
+		}
+	}
+	call.Release()
+
+	for _, count := range []int{-1, MaxScanCount + 1} {
+		if c, err := s.ScanAsync(0, count, nil); err == nil || c != nil {
+			t.Errorf("ScanAsync(0, %d) = %v, %v; want a nil call and an error", count, c, err)
+		}
+	}
+	h := openTest(t, Hash, nil)
+	if c, err := h.ScanAsync(0, 1, nil); err == nil || c != nil {
+		t.Errorf("hash ScanAsync = %v, %v; want a nil call and an error", c, err)
+	}
+}
+
 func TestPreload(t *testing.T) {
 	s := openTest(t, Tree, nil)
 	for i := uint64(0); i < 1000; i++ {

@@ -178,6 +178,68 @@ func TestPipelineAllocsPerOp(t *testing.T) {
 	}
 }
 
+// TestPipelineScanAllocsPerOp gates the wire scan: a pipelined 50-entry
+// scan on a tree store is encoded straight from the store call's pooled
+// result buffers, so it allocates no more per op than a pipelined get on
+// the same connection — neither side builds an intermediate entry list.
+// Half an allocation of slack absorbs netpoll bookkeeping noise; a scan
+// that copied its entries out first (a []KV and a value blob) costs two.
+func TestPipelineScanAllocsPerOp(t *testing.T) {
+	srv, store := startWindowServer(t, kvcore.Tree, 32)
+	const n = 50
+	var v [8]byte
+	for k := uint64(0); k < 2*n; k++ {
+		binary.LittleEndian.PutUint64(v[:], k)
+		store.Preload(k, v[:])
+	}
+	pc, err := DialPipeline(srv.Addr().String(), 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+
+	roundTrip := func(op byte, key uint64, payload []byte, check func(body []byte)) {
+		f, err := pc.Send(op, key, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc.Flush()
+		st, body, err := f.Wait()
+		if err != nil || st != StatusFound {
+			t.Fatalf("op %d: status %d, %v", op, st, err)
+		}
+		check(body)
+		f.Release()
+	}
+	get := func() {
+		roundTrip(OpGet, 3, nil, func(body []byte) {
+			if binary.LittleEndian.Uint64(body) != 3 {
+				t.Fatalf("get = %x", body)
+			}
+		})
+	}
+	scanCount := binary.LittleEndian.AppendUint32(nil, n)
+	scan := func() {
+		roundTrip(OpScan, 10, scanCount, func(body []byte) {
+			// count(4), then key(8) len(4) value(8) per entry.
+			if len(body) != 4+n*20 || binary.LittleEndian.Uint32(body) != n ||
+				binary.LittleEndian.Uint64(body[4:]) != 10 {
+				t.Fatalf("scan body: %d bytes, %x...", len(body), body[:min(len(body), 16)])
+			}
+		})
+	}
+	for i := 0; i < 32; i++ { // warm futures, call pool, scan buffers
+		get()
+		scan()
+	}
+	getAvg := testing.AllocsPerRun(300, get)
+	scanAvg := testing.AllocsPerRun(300, scan)
+	t.Logf("pipelined get: %.2f allocs/op, %d-entry scan: %.2f allocs/op", getAvg, n, scanAvg)
+	if scanAvg > getAvg+0.5 && !raceEnabled {
+		t.Fatalf("pipelined scan allocates %.2f times per op, a get %.2f", scanAvg, getAvg)
+	}
+}
+
 // TestPipelineFutureRelease checks recycled futures come back clean and
 // reuse their body buffers.
 func TestPipelineFutureRelease(t *testing.T) {

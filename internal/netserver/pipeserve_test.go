@@ -157,6 +157,69 @@ func TestPipelinedFIFOOrderingMixed(t *testing.T) {
 	}
 }
 
+// TestScanBarrierSeesEarlierPuts pins the barrier contract: a scan
+// executes at its FIFO position, after every earlier op on the connection
+// has retired, so a scan sent in the same flush as N puts over its range
+// returns every one of the new values. Pipelined gets in the same flush
+// could not promise that (they may execute before the puts).
+func TestScanBarrierSeesEarlierPuts(t *testing.T) {
+	const n = 64
+	srv, store := startWindowServer(t, kvcore.Tree, 2*n)
+	for k := uint64(0); k < n; k++ {
+		store.Preload(k, []byte("initial"))
+	}
+	pc, err := DialPipeline(srv.Addr().String(), 2*n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+
+	scanCount := binary.LittleEndian.AppendUint32(nil, n)
+	for round := 0; round < 50; round++ {
+		want := make([][]byte, n)
+		puts := make([]*Future, n)
+		for k := uint64(0); k < n; k++ {
+			// Sizes vary by round and key, so puts replace items as well
+			// as overwrite them in place.
+			want[k] = bytes.Repeat([]byte{byte(round)}, 8+int(k+uint64(round))%57)
+			if puts[k], err = pc.Send(OpPut, k, want[k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		scan, err := pc.Send(OpScan, 0, scanCount)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for k, f := range puts {
+			if st, _, err := f.Wait(); err != nil || st != StatusFound {
+				t.Fatalf("round %d: put %d: status %d, %v", round, k, st, err)
+			}
+			f.Release()
+		}
+		st, body, err := scan.Wait()
+		if err != nil || st != StatusFound {
+			t.Fatalf("round %d: scan: status %d, %v", round, st, err)
+		}
+		kvs, err := decodeScan(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan.Release()
+		if len(kvs) != n {
+			t.Fatalf("round %d: scan returned %d entries, want %d", round, len(kvs), n)
+		}
+		for k, kv := range kvs {
+			if kv.Key != uint64(k) || !bytes.Equal(kv.Value, want[k]) {
+				t.Fatalf("round %d: entry %d = key %d value %x, want key %d value %x",
+					round, k, kv.Key, kv.Value, k, want[k])
+			}
+		}
+	}
+}
+
 // TestPipelinedBackloggedShedFIFO drives the shed path deterministically:
 // a submit hook fails selected keys with rpc.ErrBacklogged, and the
 // StatusBacklogged replies must land at exactly those FIFO positions while

@@ -418,7 +418,9 @@ func (x *protoExec) retireMGet(e *netOp, w *connPipeline) {
 // the FIFO has retired every earlier response — the barrier semantics —
 // so the op observes all prior writes on this connection; responses to
 // already-buffered bursts are flushed first so a slow scan doesn't hold
-// them hostage.
+// them hostage. A scan is submitted only now and waited out; its response
+// is encoded straight from the call's pooled result slices before Release,
+// so the entries are copied once, from ScanBuf into the build buffer.
 func (x *protoExec) retireBarrier(e *netOp, w *connPipeline) {
 	w.flushResponses()
 	switch e.op {
@@ -426,16 +428,22 @@ func (x *protoExec) retireBarrier(e *netOp, w *connPipeline) {
 		x.body = x.s.appendStats2(x.body[:0])
 		w.writeOut(StatusFound, x.body)
 	case OpScan:
-		kvs, err := x.s.store.Scan(e.key, int(e.scanCount))
+		c, err := x.s.store.ScanAsync(e.key, int(e.scanCount), nil)
 		if err != nil {
 			w.writeOut(errStatus(err))
 			return
 		}
-		body := binary.LittleEndian.AppendUint32(x.body[:0], uint32(len(kvs)))
-		for _, kv := range kvs {
-			body = appendScanEntry(body, kv.Key, kv.Value)
+		c.Wait()
+		if c.Err != nil {
+			w.writeOut(errStatus(c.Err))
+		} else {
+			body := binary.LittleEndian.AppendUint32(x.body[:0], uint32(len(c.ScanKeys)))
+			for i, k := range c.ScanKeys {
+				body = appendScanEntry(body, k, c.ScanVals[i])
+			}
+			x.body = body
+			w.writeOut(StatusFound, body)
 		}
-		x.body = body
-		w.writeOut(StatusFound, body)
+		c.Release()
 	}
 }

@@ -16,6 +16,7 @@
 package seqitem
 
 import (
+	"encoding/binary"
 	"runtime"
 	"sync/atomic"
 
@@ -147,23 +148,39 @@ func New(val []byte) *Item {
 // any replacement chain).
 func (it *Item) Size() int { return it.Latest().size() }
 
+// storeWords copies val into the item's words, whole little-endian words
+// first and a zero-padded tail word last. Every word is one atomic store:
+// the seqlock protocol needs no more, and the race detector sees no less.
 func (it *Item) storeWords(val []byte) {
-	n := len(val)
-	for w := 0; w*8 < n; w++ {
+	words := it.words[:(len(val)+7)/8]
+	w := 0
+	for ; len(val) >= 8; w++ {
+		words[w].Store(binary.LittleEndian.Uint64(val))
+		val = val[8:]
+	}
+	if len(val) > 0 {
 		var chunk uint64
-		for b := 0; b < 8 && w*8+b < n; b++ {
-			chunk |= uint64(val[w*8+b]) << (8 * b)
+		for i, c := range val {
+			chunk |= uint64(c) << (8 * i)
 		}
-		it.words[w].Store(chunk)
+		words[w].Store(chunk)
 	}
 }
 
+// loadWords copies the item's value into dst[:size()], the mirror of
+// storeWords: whole words, then the tail word's low bytes.
 func (it *Item) loadWords(dst []byte) {
-	n := it.size()
-	for w := 0; w*8 < n; w++ {
-		chunk := it.words[w].Load()
-		for b := 0; b < 8 && w*8+b < n; b++ {
-			dst[w*8+b] = byte(chunk >> (8 * b))
+	dst = dst[:it.size()]
+	words := it.words[:(len(dst)+7)/8]
+	w := 0
+	for ; len(dst) >= 8; w++ {
+		binary.LittleEndian.PutUint64(dst, words[w].Load())
+		dst = dst[8:]
+	}
+	if len(dst) > 0 {
+		chunk := words[w].Load()
+		for i := range dst {
+			dst[i] = byte(chunk >> (8 * i))
 		}
 	}
 }
@@ -182,11 +199,7 @@ func (it *Item) Write(val []byte) bool {
 	if n <= 8 {
 		// The paper's fast path: the whole value is one word, so a single
 		// atomic store is a complete, untearable update.
-		var chunk uint64
-		for b := 0; b < len(val); b++ {
-			chunk |= uint64(val[b]) << (8 * b)
-		}
-		it.words[0].Store(chunk)
+		it.storeWords(val)
 		return true
 	}
 	// Lock bit via CAS, copy, unlock with a second version bump.
@@ -230,10 +243,8 @@ func (it *Item) Read(buf []byte) []byte {
 	}
 	buf = buf[:n]
 	if n <= 8 {
-		chunk := it.words[0].Load()
-		for b := 0; b < n; b++ {
-			buf[b] = byte(chunk >> (8 * b))
-		}
+		// One atomic load: always consistent, no seqlock needed.
+		it.loadWords(buf)
 		return buf
 	}
 	for {

@@ -2,9 +2,13 @@ package seqitem
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"mutps/internal/arena"
 )
 
 func TestNewAndRead(t *testing.T) {
@@ -77,18 +81,24 @@ func TestReadRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestNoTornReads hammers one large item with writers that each write a
-// value filled with a single repeated byte; readers must never observe a
-// mix of fill bytes.
+// TestNoTornReads hammers one item with writers that each write a value
+// filled with a single repeated byte; readers must never observe a mix of
+// fill bytes. The sizes put the last partial word (9, 63, 509 B) under the
+// writers as well as a whole-word value (256 B).
 func TestNoTornReads(t *testing.T) {
-	const size = 256
-	it := New(bytes.Repeat([]byte{0}, size))
-	var wg sync.WaitGroup
+	for _, size := range []int{9, 63, 256, 509} {
+		t.Run(fmt.Sprintf("size=%d", size), func(t *testing.T) { testNoTornReads(t, size) })
+	}
+}
+
+func testNoTornReads(t *testing.T, size int) {
+	it := New(make([]byte, size))
+	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
-		wg.Add(1)
+		writers.Add(1)
 		go func(w int) {
-			defer wg.Done()
+			defer writers.Done()
 			val := bytes.Repeat([]byte{byte(w + 1)}, size)
 			for {
 				select {
@@ -96,34 +106,85 @@ func TestNoTornReads(t *testing.T) {
 					return
 				default:
 					it.Write(val)
+					// Yield, so readers are not starved on a small host:
+					// the lock is then free often, but never for long.
+					runtime.Gosched()
 				}
 			}
 		}(w)
 	}
+	torn := make(chan []byte, 4)
 	for r := 0; r < 4; r++ {
-		wg.Add(1)
+		readers.Add(1)
 		go func() {
-			defer wg.Done()
+			defer readers.Done()
 			buf := make([]byte, 0, size)
 			for i := 0; i < 20000; i++ {
 				got := it.Read(buf)
-				fill := got[0]
 				for _, b := range got {
-					if b != fill {
-						panic("torn read observed")
+					if b != got[0] {
+						torn <- append([]byte(nil), got...)
+						return
 					}
 				}
 			}
 		}()
 	}
-	// Let readers finish, then stop writers.
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	// Readers exit by iteration count; writers by stop.
-	for i := 0; i < 4; i++ {
-	}
+	// Readers exit by iteration count, then the writers are stopped.
+	readers.Wait()
 	close(stop)
-	<-done
+	writers.Wait()
+	close(torn)
+	for got := range torn {
+		t.Fatalf("torn read of a %d-byte item: %x", size, got)
+	}
+}
+
+// TestWordCopyRoundTrip checks the word-at-a-time copy at every value size
+// an arena slot holds and two heap sizes past it: each size is written at
+// creation, read back, rewritten in place and read again, always into a
+// destination pre-filled with garbage, and the bytes past the value in
+// that destination must stay untouched.
+func TestWordCopyRoundTrip(t *testing.T) {
+	a := arena.New(0)
+	p := NewPool(a.NewCache())
+	sizes := make([]int, 0, arena.MaxClassBytes+3)
+	for n := 0; n <= arena.MaxClassBytes; n++ {
+		sizes = append(sizes, n)
+	}
+	sizes = append(sizes, arena.MaxClassBytes+1, 2*arena.MaxClassBytes-1)
+	const guard = 16
+	dst := make([]byte, 2*arena.MaxClassBytes+guard)
+	check := func(it *Item, want []byte) {
+		t.Helper()
+		n := len(want)
+		for i := range dst {
+			dst[i] = 0xA5
+		}
+		if got := it.Read(dst[:0]); !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: Read = %x, want %x", n, got, want)
+		}
+		for i, b := range dst[n : n+guard] {
+			if b != 0xA5 {
+				t.Fatalf("n=%d: Read wrote byte %d past the value", n, n+i)
+			}
+		}
+	}
+	for _, n := range sizes {
+		val := make([]byte, n)
+		next := make([]byte, n)
+		for i := range val {
+			val[i] = byte(i*7 + n)
+			next[i] = ^val[i]
+		}
+		it := NewIn(p, val)
+		check(it, val)
+		if !it.Write(next) {
+			t.Fatalf("n=%d: same-size Write refused", n)
+		}
+		check(it, next)
+		p.Recycle(it)
+	}
 }
 
 // TestSmallItemConcurrentWrites checks last-writer-wins word semantics.
@@ -150,30 +211,34 @@ func TestSmallItemConcurrentWrites(t *testing.T) {
 	wg.Wait()
 }
 
-func BenchmarkWrite8B(b *testing.B) {
-	it := New(make([]byte, 8))
-	val := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it.Write(val)
+// benchSizes are the value sizes the item benchmarks copy: the one-word
+// fast path, the benchmark's 64 B values and two sizes that end in a
+// partial word, the mean and the top of its 64–512 B put mix.
+var benchSizes = []int{8, 64, 288, 509}
+
+func BenchmarkWrite(b *testing.B) {
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprintf("%dB", n), func(b *testing.B) {
+			it := New(make([]byte, n))
+			val := bytes.Repeat([]byte{7}, n)
+			b.SetBytes(int64(n))
+			for i := 0; i < b.N; i++ {
+				it.Write(val)
+			}
+		})
 	}
 }
 
-func BenchmarkWrite256B(b *testing.B) {
-	it := New(make([]byte, 256))
-	val := bytes.Repeat([]byte{7}, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it.Write(val)
-	}
-}
-
-func BenchmarkRead256B(b *testing.B) {
-	it := New(bytes.Repeat([]byte{7}, 256))
-	buf := make([]byte, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it.Read(buf)
+func BenchmarkRead(b *testing.B) {
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprintf("%dB", n), func(b *testing.B) {
+			it := New(bytes.Repeat([]byte{7}, n))
+			buf := make([]byte, n)
+			b.SetBytes(int64(n))
+			for i := 0; i < b.N; i++ {
+				it.Read(buf)
+			}
+		})
 	}
 }
 
