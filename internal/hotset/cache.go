@@ -81,9 +81,16 @@ func (v *SortedView) CoveredInRange(lo, hi uint64) []uint64 {
 // footprint proportional to the hot set).
 type HashView struct {
 	mask  uint64
-	keys  []uint64 // key+1; 0 = empty
-	items []*seqitem.Item
+	slots []hashSlot
 	n     int
+}
+
+// hashSlot keeps a key beside its item: a hit reads one cache line, and a
+// view is one array, so a refresh allocates the view, its slots and the box
+// Install publishes it in, nothing more.
+type hashSlot struct {
+	key  uint64 // key+1; 0 = empty
+	item *seqitem.Item
 }
 
 // NewHashView builds a view with ≤50% load.
@@ -94,8 +101,7 @@ func NewHashView(entries []Entry) *HashView {
 	}
 	v := &HashView{
 		mask:  size - 1,
-		keys:  make([]uint64, size),
-		items: make([]*seqitem.Item, size),
+		slots: make([]hashSlot, size),
 	}
 	for _, e := range entries {
 		v.insert(e.Key, e.Item)
@@ -113,14 +119,14 @@ func hvMix(k uint64) uint64 {
 func (v *HashView) insert(key uint64, it *seqitem.Item) {
 	i := hvMix(key) & v.mask
 	for {
-		switch v.keys[i] {
+		s := &v.slots[i]
+		switch s.key {
 		case 0:
-			v.keys[i] = key + 1
-			v.items[i] = it
+			s.key, s.item = key+1, it
 			v.n++
 			return
 		case key + 1:
-			v.items[i] = it
+			s.item = it
 			return
 		}
 		i = (i + 1) & v.mask
@@ -131,11 +137,12 @@ func (v *HashView) insert(key uint64, it *seqitem.Item) {
 func (v *HashView) Lookup(key uint64) (*seqitem.Item, bool) {
 	i := hvMix(key) & v.mask
 	for {
-		switch v.keys[i] {
+		s := &v.slots[i]
+		switch s.key {
 		case 0:
 			return nil, false
 		case key + 1:
-			return v.items[i], true
+			return s.item, true
 		}
 		i = (i + 1) & v.mask
 	}

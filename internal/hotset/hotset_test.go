@@ -65,7 +65,7 @@ func TestTopKKeepsHottest(t *testing.T) {
 	for k, c := range counts {
 		top.Offer(k, c)
 	}
-	hot := top.Hottest()
+	hot := top.Hottest(nil)
 	if len(hot) != 3 {
 		t.Fatalf("len = %d", len(hot))
 	}
@@ -85,13 +85,13 @@ func TestTopKUpdateExistingKey(t *testing.T) {
 	top.Offer(1, 10)
 	top.Offer(2, 20)
 	top.Offer(1, 99) // update, not duplicate
-	hot := top.Hottest()
+	hot := top.Hottest(nil)
 	if len(hot) != 2 || hot[0].Key != 1 || hot[0].Count != 99 {
 		t.Fatalf("hottest = %v", hot)
 	}
 	// Lower count for existing key is ignored.
 	top.Offer(1, 5)
-	if top.Hottest()[0].Count != 99 {
+	if top.Hottest(nil)[0].Count != 99 {
 		t.Fatal("lower re-offer must not decrease count")
 	}
 }
@@ -101,11 +101,29 @@ func TestTopKRejectsBelowMin(t *testing.T) {
 	top.Offer(1, 10)
 	top.Offer(2, 20)
 	top.Offer(3, 5)
-	hot := top.Hottest()
+	hot := top.Hottest(nil)
 	for _, h := range hot {
 		if h.Key == 3 {
 			t.Fatal("key below min must not enter a full heap")
 		}
+	}
+}
+
+// TestTopKReset checks a reused tracker forgets every earlier key and takes
+// its new capacity, as the tracker's per-snapshot reuse relies on.
+func TestTopKReset(t *testing.T) {
+	top := NewTopK(3)
+	for k := uint64(1); k <= 3; k++ {
+		top.Offer(k, uint32(100*k))
+	}
+	top.Reset(2)
+	for k := uint64(10); k <= 12; k++ {
+		top.Offer(k, uint32(k))
+	}
+	top.Offer(1, 1) // a key from before the reset is new again
+	hot := top.Hottest(nil)
+	if len(hot) != 2 || hot[0].Key != 12 || hot[1].Key != 11 {
+		t.Fatalf("hottest after reset = %v, want keys 12, 11", hot)
 	}
 }
 
@@ -142,7 +160,7 @@ func TestTopKHeapInvariantProperty(t *testing.T) {
 			}
 			return all[i].k < all[j].k
 		})
-		hot := top.Hottest()
+		hot := top.Hottest(nil)
 		n := len(hot)
 		if n > 8 {
 			return false

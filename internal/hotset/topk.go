@@ -1,6 +1,9 @@
 package hotset
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // HotKey is a key with its estimated access count.
 type HotKey struct {
@@ -18,10 +21,20 @@ type TopK struct {
 
 // NewTopK creates a tracker for the k hottest keys; k must be positive.
 func NewTopK(k int) *TopK {
+	t := &TopK{index: make(map[uint64]int)}
+	t.Reset(k)
+	return t
+}
+
+// Reset empties the tracker and sets its capacity to k (positive), keeping
+// the heap's and the index's storage for reuse.
+func (t *TopK) Reset(k int) {
 	if k <= 0 {
 		panic("hotset: TopK needs k > 0")
 	}
-	return &TopK{k: k, index: make(map[uint64]int, k)}
+	t.k = k
+	t.heap = t.heap[:0]
+	clear(t.index)
 }
 
 // Len returns the number of tracked keys (≤ k).
@@ -98,15 +111,14 @@ func (t *TopK) siftDown(i int) {
 }
 
 // Hottest returns the tracked keys sorted by descending count (ties broken
-// by key for determinism).
-func (t *TopK) Hottest() []HotKey {
-	out := make([]HotKey, len(t.heap))
-	copy(out, t.heap)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
+// by key for determinism), in dst's storage when it is large enough.
+func (t *TopK) Hottest(dst []HotKey) []HotKey {
+	out := append(dst[:0], t.heap...)
+	slices.SortFunc(out, func(a, b HotKey) int {
+		if c := cmp.Compare(b.Count, a.Count); c != 0 {
+			return c
 		}
-		return out[i].Key < out[j].Key
+		return cmp.Compare(a.Key, b.Key)
 	})
 	return out
 }

@@ -12,6 +12,10 @@ type Tracker struct {
 	rings       [][]atomic.Uint64 // per-worker sampled keys (key+1; 0 = empty)
 	pos         []counterPad
 	snapshots   atomic.Uint64
+
+	// Snapshot's scratch, reused so a steady-state refresh makes no garbage.
+	top *TopK
+	hot []HotKey
 }
 
 type counterPad struct {
@@ -31,6 +35,7 @@ func NewTracker(workers, sampleEvery, ringSize int) *Tracker {
 		ringSize:    ringSize,
 		rings:       make([][]atomic.Uint64, workers),
 		pos:         make([]counterPad, workers),
+		top:         &TopK{index: make(map[uint64]int)},
 	}
 	for i := range t.rings {
 		t.rings[i] = make([]atomic.Uint64, ringSize)
@@ -51,11 +56,14 @@ func (t *Tracker) Record(w int, key uint64) {
 
 // Snapshot drains all rings into the sketch and returns the k hottest
 // sampled keys. The sketch is reset first, so each snapshot reflects only
-// the most recent window of samples.
+// the most recent window of samples. Snapshots must not run concurrently
+// with each other (Record may), and the returned slice is the tracker's:
+// it is valid until the next Snapshot.
 func (t *Tracker) Snapshot(cms *CMS, k int) []HotKey {
 	t.snapshots.Add(1)
 	cms.Reset()
-	top := NewTopK(k)
+	top := t.top
+	top.Reset(k)
 	for w := range t.rings {
 		for i := range t.rings[w] {
 			v := t.rings[w][i].Load()
@@ -67,7 +75,8 @@ func (t *Tracker) Snapshot(cms *CMS, k int) []HotKey {
 			top.Offer(key, cms.Estimate(key))
 		}
 	}
-	return top.Hottest()
+	t.hot = top.Hottest(t.hot)
+	return t.hot
 }
 
 // Snapshots returns how many sketch refreshes have run.

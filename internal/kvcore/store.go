@@ -181,8 +181,11 @@ type Store struct {
 
 	// refreshMu serializes RefreshHotSet: the refresher owns one epoch
 	// reader slot and one install-generation sequence, neither of which
-	// tolerates concurrent refreshes.
-	refreshMu sync.Mutex
+	// tolerates concurrent refreshes. It also guards the tracker's snapshot
+	// scratch and hotEntries, the entry list each refresh rebuilds in place
+	// so that only the published view is new.
+	refreshMu  sync.Mutex
+	hotEntries []hotset.Entry
 
 	nCR       atomic.Int32
 	hotTarget atomic.Int32
@@ -666,7 +669,7 @@ func (s *Store) RefreshHotSet() int {
 		return 0
 	}
 	hot := s.tracker.Snapshot(s.cms, k)
-	entries := make([]hotset.Entry, 0, len(hot))
+	entries := s.hotEntries[:0]
 	for _, h := range hot {
 		if s.recent.Contains(h.Key) {
 			// Eviction-aware admission: the evictor just chose this key as a
@@ -693,7 +696,11 @@ func (s *Store) RefreshHotSet() int {
 		v = hotset.NewHashView(entries)
 	}
 	s.cache.Install(v)
-	return len(entries)
+	// Both views copied the entries; cleared, the kept list pins no item.
+	n := len(entries)
+	clear(entries)
+	s.hotEntries = entries[:0]
+	return n
 }
 
 // Stats is a snapshot of store counters.

@@ -356,14 +356,30 @@ func appendScanEntry(body []byte, key uint64, val []byte) []byte {
 }
 
 func writeResp(w *bufio.Writer, status byte, payload []byte) error {
-	var hdr [5]byte
-	hdr[0] = status
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr, err := headerBuf(w, 5)
+	if err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
+	hdr = append(hdr, status)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(payload)))
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	_, err = w.Write(payload)
 	return err
+}
+
+// headerBuf returns w's free buffer space, flushing first if it holds fewer
+// than n bytes, so a frame header of n bytes is encoded in place: a header
+// array on the stack would escape through bufio's io.Writer and cost an
+// allocation per frame. The bytes on the wire are the same either way.
+func headerBuf(w *bufio.Writer, n int) ([]byte, error) {
+	if w.Available() < n {
+		if err := w.Flush(); err != nil {
+			return nil, err
+		}
+	}
+	return w.AvailableBuffer(), nil
 }
 
 // Client is the synchronous client for the netserver protocol: a

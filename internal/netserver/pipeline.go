@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,6 +32,9 @@ type PipelineClient struct {
 	dead    bool // set under sendMu by the exiting read loop: no later Send may enqueue
 	pending chan *Future
 	readWG  sync.WaitGroup
+	// respHdr is the read loop's response-header scratch: a header array
+	// on the loop's stack would escape through io.ReadFull.
+	respHdr [5]byte
 
 	failOnce sync.Once
 	closed   chan struct{} // closed by fail, after cause and closeErr are set
@@ -56,15 +58,6 @@ const (
 	futParked
 	futDone
 )
-
-// futWaitSpins is the Wait spin budget before parking. Measured against
-// check-then-park (no spin) with the benchmark, 10 alternating pairs,
-// medians (EXPERIMENTS.md PR 21): parking at once wins hot_get 145k →
-// 170k ops/s, p50 152 → 104 µs, and paced_mix p50 243 → 209 µs, both
-// 10/10 pairs, but loses scan_tree p50 124 → 170 µs (0/10) and
-// uniform_mix p50 177 → 191 µs (1/10). The scan loss keeps the spin until
-// a change that removes it is judged as a perf claim of its own.
-const futWaitSpins = 128
 
 // Future is a pending pipelined response. Futures are pooled: Send draws
 // from a sync.Pool and Release returns the future — and its response-body
@@ -106,15 +99,11 @@ func (f *Future) complete() {
 }
 
 // Wait blocks until the response arrives and returns status and payload.
-// The payload is only valid until Release.
+// The payload is only valid until Release. It checks once and then parks,
+// like rpc.Call.Wait: a spin phase would take CPU from the stages the
+// waiter waits on whenever client and server share a host's CPUs.
 func (f *Future) Wait() (status byte, body []byte, err error) {
-	for i := 0; i < futWaitSpins; i++ {
-		if f.state.Load() == futDone {
-			return f.status, f.body, f.err
-		}
-		runtime.Gosched()
-	}
-	if f.state.CompareAndSwap(futPending, futParked) {
+	if f.state.Load() != futDone && f.state.CompareAndSwap(futPending, futParked) {
 		<-f.park
 	}
 	return f.status, f.body, f.err
@@ -178,6 +167,7 @@ func (c *PipelineClient) broken() error {
 func (c *PipelineClient) readLoop() {
 	defer c.readWG.Done()
 	r := bufio.NewReader(c.conn)
+	hdr := c.respHdr[:]
 	for {
 		var f *Future
 		select {
@@ -186,8 +176,7 @@ func (c *PipelineClient) readLoop() {
 			c.readerDone(nil, c.cause)
 			return
 		}
-		var hdr [5]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if _, err := io.ReadFull(r, hdr); err != nil {
 			c.readerDone(f, err)
 			return
 		}
@@ -280,11 +269,14 @@ func (c *PipelineClient) Send(op byte, key uint64, payload []byte) (*Future, err
 		case c.pending <- f:
 		}
 	}
-	var hdr [13]byte
-	hdr[0] = op
-	binary.LittleEndian.PutUint64(hdr[1:9], key)
-	binary.LittleEndian.PutUint32(hdr[9:13], uint32(len(payload)))
-	if _, err := c.w.Write(hdr[:]); err != nil {
+	hdr, err := headerBuf(c.w, 13)
+	if err != nil {
+		return nil, c.writeFailed(err)
+	}
+	hdr = append(hdr, op)
+	hdr = binary.LittleEndian.AppendUint64(hdr, key)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(payload)))
+	if _, err := c.w.Write(hdr); err != nil {
 		return nil, c.writeFailed(err)
 	}
 	if _, err := c.w.Write(payload); err != nil {
