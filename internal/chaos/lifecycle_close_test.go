@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mutps/internal/kvcore"
+	"mutps/internal/obs"
 	"mutps/internal/rpc"
 )
 
@@ -29,17 +30,12 @@ func TestStoreCloseMidEviction(t *testing.T) {
 
 func runCloseMidEviction(t *testing.T) {
 	s, err := kvcore.Open(kvcore.Config{
-		Engine:        kvcore.Hash,
-		Workers:       4,
-		CRWorkers:     2,
-		BatchSize:     4,
-		RXCapacity:    64,
-		CRMRCapacity:  8,
-		SlabSize:      64,
-		MemoryBudget:  32 << 10, // keyspace below is ~4× this
-		EvictInterval: time.Millisecond,
-		ColdDir:       t.TempDir(),
-		DefaultTTL:    50 * time.Millisecond, // expiry in play during the churn
+		Engine:       kvcore.Hash,
+		Workers:      4,
+		CRWorkers:    2,
+		MemoryBudget: 32 << 10, // keyspace below is ~4× this
+		ColdDir:      t.TempDir(),
+		DefaultTTL:   50 * time.Millisecond, // expiry in play during the churn
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -92,9 +88,18 @@ func runCloseMidEviction(t *testing.T) {
 	}
 
 	// Build enough churn that evictions and spills are continuously in
-	// flight, then close mid-stride.
+	// flight, then close mid-stride — once a value has spilled, so Close
+	// does race the evictor's cold-tier writes.
 	for ops.Load() < 4000 {
 		time.Sleep(100 * time.Microsecond)
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for !obs.Disabled && s.Metrics().SnapshotMap()["mutps_cold_spills_total"] == 0 {
+		if time.Now().After(deadline) {
+			t.Errorf("no value spilled in %d ops: Close would not race an eviction", ops.Load())
+			break
+		}
+		time.Sleep(time.Millisecond)
 	}
 	WithinDeadline(t, 30*time.Second, "Store.Close mid-eviction", s.Close)
 	WithinDeadline(t, 30*time.Second, "clients returning after Close", wg.Wait)

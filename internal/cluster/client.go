@@ -9,23 +9,14 @@ import (
 
 // Config configures a cluster Client. Only Addrs is required.
 type Config struct {
-	// Addrs lists the shard servers. Order is the shard index used by
-	// LargeShards and the per-shard metrics labels.
+	// Addrs lists the shard servers. Order is the shard index used by the
+	// per-shard metrics labels.
 	Addrs []string
-	// VNodes is the consistent-hash virtual-node count per shard
-	// (default 128).
-	VNodes int
 	// Inflight is the per-shard pipelined-connection window (default 128).
 	Inflight int
 	// MGetBatch caps the keys per mget wire frame (default 256, hard cap
 	// netserver.MaxMGetKeys). Larger multi-gets split across frames.
 	MGetBatch int
-	// SizeThreshold, when > 0, enables size-aware placement: puts of
-	// values >= this many bytes route to the LargeShards set.
-	SizeThreshold int
-	// LargeShards are indices into Addrs designating the large-object
-	// shard set (default: the last shard) when SizeThreshold > 0.
-	LargeShards []int
 	// Registry receives the client's mutps_cluster_* metrics; nil creates
 	// a private registry (reachable via Metrics).
 	Registry *obs.Registry
@@ -35,11 +26,12 @@ type Config struct {
 // pipelined connection per shard and fans multi-key gets out as one
 // batched mget frame per shard — the per-host batching that multi-node
 // throughput comes from — while single-key ops route point-to-point on the
-// consistent-hash ring. Safe for concurrent use; concurrent callers share
-// the per-shard windows.
+// consistent-hash ring. Every key lives on the one shard the ring names,
+// so clients that share a shard set read each other's writes. Safe for
+// concurrent use; concurrent callers share the per-shard windows.
 type Client struct {
 	cfg    Config
-	router *Router
+	ring   *Ring // over Addrs in their order: a member index is a shard index
 	shards []*shard
 	batch  int
 
@@ -47,8 +39,6 @@ type Client struct {
 	opsShard   []*obs.Counter
 	mgetFrames *obs.Counter
 	mgetKeys   *obs.Histogram
-	largePuts  *obs.Counter
-	probes     *obs.Counter
 }
 
 // shard is one member server and its pipelined connection.
@@ -57,7 +47,7 @@ type shard struct {
 	pc   *netserver.PipelineClient
 }
 
-// Dial connects to every shard and builds the routing state.
+// Dial connects to every shard and builds the ring.
 func Dial(cfg Config) (*Client, error) {
 	if len(cfg.Addrs) == 0 {
 		return nil, fmt.Errorf("cluster: no shard addresses")
@@ -72,11 +62,11 @@ func Dial(cfg Config) (*Client, error) {
 	if batch > netserver.MaxMGetKeys {
 		batch = netserver.MaxMGetKeys
 	}
-	router, err := NewRouter(cfg.Addrs, cfg.VNodes, cfg.SizeThreshold, cfg.LargeShards)
+	ring, err := NewRing(cfg.Addrs)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{cfg: cfg, router: router, batch: batch}
+	c := &Client{cfg: cfg, ring: ring, batch: batch}
 	for _, addr := range cfg.Addrs {
 		pc, err := netserver.DialPipeline(addr, cfg.Inflight)
 		if err != nil {
@@ -99,10 +89,6 @@ func Dial(cfg Config) (*Client, error) {
 		"Batched mget frames sent across all shards.", 4)
 	c.mgetKeys = c.reg.Histogram("mutps_cluster_mget_keys_per_frame", "",
 		"Keys carried per mget frame (per-shard fan-out batching factor).", 4)
-	c.largePuts = c.reg.Counter("mutps_cluster_large_routed_total", "",
-		"Puts routed to the large-object shard set by the size-aware policy.", 4)
-	c.probes = c.reg.Counter("mutps_cluster_large_probe_total", "",
-		"Get misses probed on the large-object set for untracked keys.", 4)
 	return c, nil
 }
 
@@ -113,12 +99,8 @@ func (c *Client) Metrics() *obs.Registry { return c.reg }
 // Shards returns the shard count.
 func (c *Client) Shards() int { return len(c.shards) }
 
-// ShardOf returns the shard index a get for key routes to first (test and
-// tooling hook).
-func (c *Client) ShardOf(key uint64) int {
-	si, _ := c.router.GetShard(key)
-	return si
-}
+// ShardOf returns the index of the shard that owns key.
+func (c *Client) ShardOf(key uint64) int { return c.ring.LocateIndex(key) }
 
 // Close tears down every shard connection; the first error wins.
 func (c *Client) Close() error {
@@ -152,64 +134,28 @@ func (c *Client) do(si int, op byte, key uint64, payload []byte) (status byte, b
 	return st, body, err
 }
 
-// Get fetches key from its owning shard, probing the large-object set on a
-// miss when size-aware placement is active and the key is untracked.
+// Get fetches key from its owning shard.
 func (c *Client) Get(key uint64) ([]byte, bool, error) {
-	si, fallback := c.router.GetShard(key)
-	st, body, err := c.do(si, netserver.OpGet, key, nil)
-	if err != nil {
+	st, body, err := c.do(c.ShardOf(key), netserver.OpGet, key, nil)
+	if err != nil || st != netserver.StatusFound {
 		return nil, false, err
 	}
-	if st == netserver.StatusFound {
-		return body, true, nil
-	}
-	if fallback >= 0 {
-		if !obs.Disabled {
-			c.probes.Inc(0)
-		}
-		st, body, err = c.do(fallback, netserver.OpGet, key, nil)
-		if err != nil {
-			return nil, false, err
-		}
-		if st == netserver.StatusFound {
-			return body, true, nil
-		}
-	}
-	return nil, false, nil
+	return body, true, nil
 }
 
-// Put stores val under key on the shard the placement policy selects,
-// clearing a stale copy from the other shard set when the key crosses the
-// size threshold.
+// Put stores val under key on its owning shard.
 func (c *Client) Put(key uint64, val []byte) error {
-	si, companion, large := c.router.PutShard(key, len(val))
-	if large && !obs.Disabled {
-		c.largePuts.Inc(0)
-	}
-	if _, _, err := c.do(si, netserver.OpPut, key, val); err != nil {
-		return err
-	}
-	if companion >= 0 {
-		if _, _, err := c.do(companion, netserver.OpDelete, key, nil); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, _, err := c.do(c.ShardOf(key), netserver.OpPut, key, val)
+	return err
 }
 
-// Delete removes key from every shard that may hold it, reporting whether
-// any copy existed.
+// Delete removes key from its owning shard, reporting whether it existed.
 func (c *Client) Delete(key uint64) (bool, error) {
-	var shards [2]int
-	found := false
-	for _, si := range c.router.DeleteShards(shards[:0], key) {
-		st, _, err := c.do(si, netserver.OpDelete, key, nil)
-		if err != nil {
-			return false, err
-		}
-		found = found || st == netserver.StatusFound
+	st, _, err := c.do(c.ShardOf(key), netserver.OpDelete, key, nil)
+	if err != nil {
+		return false, err
 	}
-	return found, nil
+	return st == netserver.StatusFound, nil
 }
 
 // frame is one in-flight mget wire frame of a fan-out; the response
@@ -234,48 +180,17 @@ func (c *Client) MGet(keys []uint64) (vals [][]byte, found []bool, err error) {
 		return vals, found, nil
 	}
 	groups := make([][]int, len(c.shards))
-	var fbs []int
-	needFallback := false
-	if c.router.SizeAware() {
-		fbs = make([]int, len(keys))
-	}
 	for i, k := range keys {
-		si, fb := c.router.GetShard(k)
+		si := c.ShardOf(k)
 		groups[si] = append(groups[si], i)
-		if fbs != nil {
-			fbs[i] = fb
-			if fb >= 0 {
-				needFallback = true
-			}
-		}
 	}
 	if err := c.fanout(keys, groups, vals, found); err != nil {
 		return nil, nil, err
 	}
-	if needFallback {
-		// Second round: untracked keys that missed may live on the
-		// large-object set (placed there by another client).
-		probe := make([][]int, len(c.shards))
-		any := false
-		for i := range keys {
-			if !found[i] && fbs[i] >= 0 {
-				probe[fbs[i]] = append(probe[fbs[i]], i)
-				any = true
-			}
-		}
-		if any {
-			if !obs.Disabled {
-				c.probes.Inc(0)
-			}
-			if err := c.fanout(keys, probe, vals, found); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
 	return vals, found, nil
 }
 
-// fanout sends one round of grouped gets as mget frames, flushes every
+// fanout sends the grouped gets as mget frames, flushes every
 // touched window once, then retires the frames in issue order and scatters
 // results into vals/found. A send failure stops the issuing but not the
 // rest: whatever was sent is still flushed, waited and released — a frame

@@ -322,124 +322,90 @@ func TestClusterMGetSendFailureDrains(t *testing.T) {
 	}
 }
 
-// TestSizeAwarePlacement verifies the Minos-style routing: small values
-// stay on the small shard set, threshold-crossing puts move to the large
-// set (with the stale small copy cleared), shrinking moves back, and reads
-// stay correct throughout — including for a second client with no placement
-// tracker, which must find large keys via the miss-probe path.
-func TestSizeAwarePlacement(t *testing.T) {
-	const nShards = 3
-	l, err := LaunchLocal(nShards, LocalOptions{Config: kvcore.Config{Workers: 3, CRWorkers: 1}})
+// TestCrossClientConsistency shares three shards between two clients that
+// take turns rewriting every key, the value's size alternating between
+// 4 KiB and 64 B, and then delete every key: after each round every Get
+// and MGet from either client must return the last completed write.
+// Placement that depends on what the writing client remembers fails here:
+// a client that put a key large, and did not see the other client shrink
+// it, reads its own stale copy.
+func TestCrossClientConsistency(t *testing.T) {
+	const nShards, nKeys, rounds = 3, 100, 4
+	l, a := launch(t, nShards)
+	b, err := Dial(Config{Addrs: l.Addrs()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	cfg := Config{
-		Addrs:         l.Addrs(),
-		SizeThreshold: 1024,
-		LargeShards:   []int{nShards - 1},
+	defer b.Close()
+	clients := []*Client{a, b}
+	keys := make([]uint64, nKeys)
+	for i := range keys {
+		keys[i] = uint64(i)
 	}
-	c, err := Dial(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	small := bytes.Repeat([]byte{7}, 64)
-	big := bytes.Repeat([]byte{9}, 4096)
-
-	// Small values never land on the large shard.
-	for k := uint64(0); k < 50; k++ {
-		if err := c.Put(k, small); err != nil {
-			t.Fatal(err)
+	// value is key k's value in round r: 4 KiB in even rounds, 64 B in odd
+	// ones, led by the key and the round so a stale copy never matches.
+	value := func(k uint64, r int) []byte {
+		v := make([]byte, 64)
+		if r%2 == 0 {
+			v = make([]byte, 4096)
 		}
+		binary.LittleEndian.PutUint64(v, k)
+		binary.LittleEndian.PutUint64(v[8:], uint64(r))
+		return v
 	}
-	for k := uint64(0); k < 50; k++ {
-		if _, found, _ := l.Store(nShards - 1).Get(k); found {
-			t.Fatalf("small key %d landed on the large shard", k)
+	describe := func(v []byte, ok bool) string {
+		switch {
+		case !ok:
+			return "no value"
+		case len(v) < 16:
+			return fmt.Sprintf("%d B", len(v))
 		}
+		return fmt.Sprintf("%d B from round %d", len(v), binary.LittleEndian.Uint64(v[8:]))
 	}
-	// Large values land only on the large shard.
-	for k := uint64(100); k < 120; k++ {
-		if err := c.Put(k, big); err != nil {
-			t.Fatal(err)
-		}
-		if !c.router.TrackedLarge(k) {
-			t.Fatalf("key %d not tracked large after large put", k)
-		}
-	}
-	for k := uint64(100); k < 120; k++ {
-		if _, found, _ := l.Store(nShards - 1).Get(k); !found {
-			t.Fatalf("large key %d missing from the large shard", k)
-		}
-		v, ok, err := c.Get(k)
-		if err != nil || !ok || len(v) != len(big) {
-			t.Fatalf("cluster get of large key %d: %v %v len=%d", k, ok, err, len(v))
-		}
-	}
-	// Crossing up: a small key regrown large must read back fresh (the
-	// stale small copy is companion-deleted).
-	if err := c.Put(3, big); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok, _ := c.Get(3); !ok || len(v) != len(big) {
-		t.Fatalf("key 3 after growth: ok=%v len=%d", ok, len(v))
-	}
-	foundSmall := false
-	for s := 0; s < nShards-1; s++ {
-		if _, f, _ := l.Store(s).Get(3); f {
-			foundSmall = true
-		}
-	}
-	if foundSmall {
-		t.Fatal("stale small copy of key 3 survived growth to large")
-	}
-	// Crossing down: shrink back below the threshold.
-	if err := c.Put(3, small); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok, _ := c.Get(3); !ok || len(v) != len(small) {
-		t.Fatalf("key 3 after shrink: ok=%v len=%d", ok, len(v))
-	}
-	if _, f, _ := l.Store(nShards - 1).Get(3); f {
-		t.Fatal("stale large copy of key 3 survived shrink")
-	}
-	if c.router.TrackedLarge(3) {
-		t.Fatal("key 3 still tracked large after shrink")
-	}
-
-	// A fresh client (empty tracker) must still read large keys via the
-	// miss-probe, and its MGet must resolve a mix of small and large keys.
-	c2, err := Dial(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if v, ok, err := c2.Get(110); err != nil || !ok || len(v) != len(big) {
-		t.Fatalf("fresh client get of large key: %v %v len=%d", ok, err, len(v))
-	}
-	mixed := []uint64{1, 110, 2, 111, 999}
-	vals, found, err := c2.MGet(mixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantLen := []int{len(small), len(big), len(small), len(big), 0}
-	for i, k := range mixed {
-		if k == 999 {
-			if found[i] {
-				t.Fatal("missing key reported found")
+	stale := make(map[uint64]string) // key → its first wrong read
+	check := func(want func(k uint64) []byte) {
+		for ci, c := range clients {
+			vals, found, err := c.MGet(keys)
+			if err != nil {
+				t.Fatal(err)
 			}
-			continue
-		}
-		if !found[i] || len(vals[i]) != wantLen[i] {
-			t.Fatalf("mixed mget key %d: found=%v len=%d want %d", k, found[i], len(vals[i]), wantLen[i])
+			for i, k := range keys {
+				v, ok, err := c.Get(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w := want(k)
+				reads := [...]struct {
+					op string
+					v  []byte
+					ok bool
+				}{{"Get", v, ok}, {"MGet", vals[i], found[i]}}
+				for _, got := range reads {
+					if _, seen := stale[k]; !seen && (got.ok != (w != nil) || !bytes.Equal(got.v, w)) {
+						stale[k] = fmt.Sprintf("client %d %s read %s, want %s",
+							ci, got.op, describe(got.v, got.ok), describe(w, w != nil))
+					}
+				}
+			}
 		}
 	}
-	// Delete clears both sets.
-	if ok, err := c.Delete(110); err != nil || !ok {
-		t.Fatalf("delete large: %v %v", ok, err)
+	for r := 0; r < rounds; r++ {
+		for _, k := range keys {
+			if err := clients[r%2].Put(k, value(k, r)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(func(k uint64) []byte { return value(k, r) })
 	}
-	if _, ok, _ := c.Get(110); ok {
-		t.Fatal("large key readable after delete")
+	for _, k := range keys {
+		if ok, err := clients[k%2].Delete(k); err != nil || !ok {
+			t.Fatalf("client %d Delete(%d) = %v, %v; want found", k%2, k, ok, err)
+		}
+	}
+	check(func(uint64) []byte { return nil })
+	for _, k := range keys {
+		if why, ok := stale[k]; ok {
+			t.Fatalf("%d of %d keys read stale; first, key %d: %s", len(stale), nKeys, k, why)
+		}
 	}
 }

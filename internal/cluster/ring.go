@@ -1,10 +1,7 @@
 // Package cluster presents N independent mutps server processes as one
-// logical keyspace: a consistent-hash routing layer with virtual nodes, an
-// optional size-aware placement policy that keeps large objects off the
-// shards serving small requests (the Minos insight: large values inflate
-// small-request tail latency when they share queues), and a fan-out client
-// that keeps one pipelined connection per shard full and batches multi-key
-// gets into one wire frame per shard.
+// logical keyspace: a consistent-hash routing layer with virtual nodes and
+// a fan-out client that keeps one pipelined connection per shard full and
+// batches multi-key gets into one wire frame per shard.
 package cluster
 
 import (
@@ -12,11 +9,11 @@ import (
 	"sort"
 )
 
-// defaultVNodes is the virtual-node count per member when a Ring is built
-// with vnodes <= 0. 128 points per member keeps the per-shard key share
-// within a few percent of uniform at typical cluster sizes while the whole
-// ring stays small enough to rebuild in microseconds.
-const defaultVNodes = 128
+// vnodes is the virtual-node count per member. 128 points per member keeps
+// the per-shard key share within a few percent of uniform at typical
+// cluster sizes while the whole ring stays small enough to rebuild in
+// microseconds.
+const vnodes = 128
 
 // ringPoint is one virtual node on the hash circle.
 type ringPoint struct {
@@ -34,20 +31,15 @@ type ringPoint struct {
 // Add and Remove return a new Ring sharing nothing with the receiver, so a
 // Ring in use by a client may be read from any goroutine without locking.
 type Ring struct {
-	vnodes  int
 	members []string
 	points  []ringPoint // sorted by hash
 }
 
-// NewRing builds a ring over members (each name must be unique and
-// non-empty) with the given virtual nodes per member (<=0 selects the
-// default).
-func NewRing(members []string, vnodes int) (*Ring, error) {
+// NewRing builds a ring over members; each name must be unique and
+// non-empty.
+func NewRing(members []string) (*Ring, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one member")
-	}
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
 	}
 	seen := make(map[string]struct{}, len(members))
 	for _, m := range members {
@@ -59,17 +51,17 @@ func NewRing(members []string, vnodes int) (*Ring, error) {
 		}
 		seen[m] = struct{}{}
 	}
-	r := &Ring{vnodes: vnodes, members: append([]string(nil), members...)}
+	r := &Ring{members: append([]string(nil), members...)}
 	r.rebuild()
 	return r, nil
 }
 
 // rebuild recomputes the sorted point list from the member set.
 func (r *Ring) rebuild() {
-	r.points = make([]ringPoint, 0, len(r.members)*r.vnodes)
+	r.points = make([]ringPoint, 0, len(r.members)*vnodes)
 	for mi, m := range r.members {
 		h := memberSeed(m)
-		for v := 0; v < r.vnodes; v++ {
+		for v := 0; v < vnodes; v++ {
 			h = mix64(h + uint64(v)*0x9e3779b97f4a7c15)
 			r.points = append(r.points, ringPoint{hash: h, member: mi})
 		}
@@ -127,7 +119,7 @@ func (r *Ring) Members() []string { return append([]string(nil), r.members...) }
 
 // Add returns a new ring with member added; the receiver is unchanged.
 func (r *Ring) Add(member string) (*Ring, error) {
-	return NewRing(append(r.Members(), member), r.vnodes)
+	return NewRing(append(r.Members(), member))
 }
 
 // Remove returns a new ring without member; the receiver is unchanged.
@@ -135,7 +127,7 @@ func (r *Ring) Remove(member string) (*Ring, error) {
 	ms := r.Members()
 	for i, m := range ms {
 		if m == member {
-			return NewRing(append(ms[:i], ms[i+1:]...), r.vnodes)
+			return NewRing(append(ms[:i], ms[i+1:]...))
 		}
 	}
 	return nil, fmt.Errorf("cluster: member %q not in ring", member)

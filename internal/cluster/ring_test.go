@@ -14,11 +14,11 @@ func ringMembers(n int) []string {
 }
 
 func TestRingDeterministic(t *testing.T) {
-	a, err := NewRing(ringMembers(5), 0)
+	a, err := NewRing(ringMembers(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRing(ringMembers(5), 0)
+	b, err := NewRing(ringMembers(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestRingDeterministic(t *testing.T) {
 func TestRingUniformity(t *testing.T) {
 	const nKeys = 200_000
 	for _, nShards := range []int{2, 4, 8} {
-		r, err := NewRing(ringMembers(nShards), 128)
+		r, err := NewRing(ringMembers(nShards))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestRingUniformity(t *testing.T) {
 func TestRingRemappingOnAdd(t *testing.T) {
 	const nKeys = 100_000
 	for _, n := range []int{2, 4, 8} {
-		before, err := NewRing(ringMembers(n), 128)
+		before, err := NewRing(ringMembers(n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestRingRemappingOnRemove(t *testing.T) {
 	const nKeys = 100_000
 	for _, n := range []int{3, 5, 8} {
 		members := ringMembers(n)
-		before, err := NewRing(members, 128)
+		before, err := NewRing(members)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,16 +127,16 @@ func TestRingRemappingOnRemove(t *testing.T) {
 }
 
 func TestRingRejectsBadMembers(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Error("empty ring accepted")
 	}
-	if _, err := NewRing([]string{"a", "a"}, 0); err == nil {
+	if _, err := NewRing([]string{"a", "a"}); err == nil {
 		t.Error("duplicate member accepted")
 	}
-	if _, err := NewRing([]string{""}, 0); err == nil {
+	if _, err := NewRing([]string{""}); err == nil {
 		t.Error("empty member name accepted")
 	}
-	r, _ := NewRing([]string{"a", "b"}, 0)
+	r, _ := NewRing([]string{"a", "b"})
 	if _, err := r.Remove("zzz"); err == nil {
 		t.Error("removing unknown member accepted")
 	}

@@ -63,18 +63,6 @@ func (v *SortedView) Lookup(key uint64) (*seqitem.Item, bool) {
 // Len implements View.
 func (v *SortedView) Len() int { return len(v.keys) }
 
-// CoveredInRange returns the cached keys within [lo, hi], used by μTPS-T
-// range queries: the CR layer serves these directly and the MR layer skips
-// them.
-func (v *SortedView) CoveredInRange(lo, hi uint64) []uint64 {
-	i := sort.Search(len(v.keys), func(i int) bool { return v.keys[i] >= lo })
-	var out []uint64
-	for ; i < len(v.keys) && v.keys[i] <= hi; i++ {
-		out = append(out, v.keys[i])
-	}
-	return out
-}
-
 // HashView is the hash-engine view: a compact open-addressed table mirroring
 // the main index's layout (the paper reuses the main hash structure; a
 // dedicated compact table gives the CR layer the same O(1) probe with a

@@ -300,17 +300,6 @@ func TestSortedViewDuplicateKeysKeepLast(t *testing.T) {
 	}
 }
 
-func TestSortedViewCoveredInRange(t *testing.T) {
-	v := NewSortedView(makeEntries(10, 20, 30, 40))
-	got := v.CoveredInRange(15, 35)
-	if len(got) != 2 || got[0] != 20 || got[1] != 30 {
-		t.Fatalf("CoveredInRange = %v", got)
-	}
-	if out := v.CoveredInRange(50, 60); len(out) != 0 {
-		t.Fatal("empty range must return nothing")
-	}
-}
-
 func TestHashViewLookup(t *testing.T) {
 	keys := make([]uint64, 100)
 	for i := range keys {

@@ -118,7 +118,6 @@ func TestBudgetHeldUnderChurn(t *testing.T) {
 	const budget = 96 << 10
 	s := openTest(t, Hash, func(c *Config) {
 		c.MemoryBudget = budget
-		c.EvictInterval = time.Millisecond
 	})
 	const keys = 4096 // ≈ 4× budget at ~100B/slot
 	for round := 0; round < 2; round++ {
@@ -148,7 +147,6 @@ func TestColdTierServesEvicted(t *testing.T) {
 	const budget = 96 << 10
 	s := openTest(t, Hash, func(c *Config) {
 		c.MemoryBudget = budget
-		c.EvictInterval = time.Millisecond
 		c.ColdDir = t.TempDir()
 	})
 	const keys = 4096
@@ -193,7 +191,6 @@ func TestColdTierServesEvicted(t *testing.T) {
 func TestColdPromotionServesFromRAM(t *testing.T) {
 	s := openTest(t, Hash, func(c *Config) {
 		c.MemoryBudget = 32 << 10
-		c.EvictInterval = time.Millisecond
 		c.ColdDir = t.TempDir()
 	})
 	const keys = 2048
@@ -257,7 +254,6 @@ func TestExpiredNeverSpills(t *testing.T) {
 func TestLifecycleChurnStress(t *testing.T) {
 	s := openTest(t, Hash, func(c *Config) {
 		c.MemoryBudget = 48 << 10
-		c.EvictInterval = time.Millisecond
 		c.ColdDir = t.TempDir()
 		c.HotItems = 64
 		c.RefreshInterval = 5 * time.Millisecond

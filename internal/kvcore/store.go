@@ -33,11 +33,6 @@ type Config struct {
 	// [1, Workers-1]. Adjust at runtime with SetSplit.
 	CRWorkers int
 
-	BatchSize    int // CR→MR requests per ring slot (default 8, max ring.MaxBatch)
-	RXCapacity   int // receive-ring slots (default 1024)
-	CRMRCapacity int // per-pair CR-MR ring slots (default 64)
-	SlabSize     int // per-CR-worker in-flight request contexts (default 4096)
-
 	// HotItems is the hot-set cache target. 0 (or less) turns the
 	// cache-resident hot path off: every request is forwarded to the MR
 	// layer. (mutps.Open, the embedder's entry point, reads 0 as "default"
@@ -55,11 +50,10 @@ type Config struct {
 	// Bounded-memory lifecycle (DESIGN.md §13). MemoryBudget is the high
 	// watermark on live arena bytes; when crossed, a background evictor
 	// unlinks the coldest items (ranked by the hot-set sketch) until live
-	// bytes fall to 0.9×MemoryBudget (lifecycle's low-water default),
+	// bytes fall to 0.9×MemoryBudget (lifecycle's low-water mark),
 	// spilling values to the cold tier when ColdDir is set and dropping
 	// them otherwise.
-	MemoryBudget  int64         // 0 = unbounded
-	EvictInterval time.Duration // evictor poll period (default 5ms); allocation pressure wakes it early
+	MemoryBudget int64 // 0 = unbounded
 
 	// ColdDir, when set, attaches an SSD-backed cold tier at that
 	// directory: evicted values spill to an append-only log and gets
@@ -87,6 +81,29 @@ const (
 	trackRing   = 1024 // per-worker sample ring
 )
 
+// geometry is a store's fixed plumbing: how many requests its rings and
+// slabs hold, how many share one CR-MR ring slot, and how often its
+// evictor polls. No caller chooses it: every store opens with geom, and
+// only this package's tests swap geom (restoring it in t.Cleanup) to reach
+// the full-slab paths with a few requests. slabSlots must be at least
+// batch: runCR waits for a free slot without pushing its partial batch,
+// which could otherwise hold the whole slab.
+type geometry struct {
+	rxSlots     int           // receive-ring slots
+	crmrSlots   int           // slots of each CR-MR ring
+	slabSlots   int           // in-flight request contexts per CR worker
+	batch       int           // CR→MR requests per ring slot, at most ring.MaxBatch
+	evictPeriod time.Duration // evictor poll period; allocation pressure wakes it early
+}
+
+var geom = geometry{
+	rxSlots:     1024,
+	crmrSlots:   64,
+	slabSlots:   4096,
+	batch:       8,
+	evictPeriod: 5 * time.Millisecond,
+}
+
 func (c *Config) applyDefaults() error {
 	if c.Workers < 2 {
 		return fmt.Errorf("kvcore: need at least 2 workers, got %d", c.Workers)
@@ -97,21 +114,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.MemoryBudget < 0 {
 		return fmt.Errorf("kvcore: MemoryBudget must be >= 0, got %d", c.MemoryBudget)
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 8
-	}
-	if c.BatchSize > ring.MaxBatch {
-		c.BatchSize = ring.MaxBatch
-	}
-	if c.RXCapacity <= 0 {
-		c.RXCapacity = 1024
-	}
-	if c.CRMRCapacity <= 0 {
-		c.CRMRCapacity = 64
-	}
-	if c.SlabSize <= 0 {
-		c.SlabSize = 4096
 	}
 	if c.HotItems < 0 {
 		c.HotItems = 0
@@ -219,8 +221,8 @@ func Open(cfg Config) (*Store, error) {
 	} else {
 		s.idx = newHashIndex(cfg.CapacityHint)
 	}
-	s.rpc = rpc.NewServer(cfg.RXCapacity, cfg.Workers, cfg.CRWorkers)
-	s.crmr = ring.NewCRMR(cfg.Workers, cfg.Workers, cfg.CRMRCapacity)
+	s.rpc = rpc.NewServer(geom.rxSlots, cfg.Workers, cfg.CRWorkers)
+	s.crmr = ring.NewCRMR(cfg.Workers, cfg.Workers, geom.crmrSlots)
 	s.cache = hotset.NewCache()
 	s.tracker = hotset.NewTracker(cfg.Workers, sampleEvery, trackRing)
 	s.cms = hotset.NewCMS(4 * trackRing * cfg.Workers)
@@ -230,9 +232,9 @@ func Open(cfg Config) (*Store, error) {
 	s.mrscr = make([]*mrScratch, cfg.Workers)
 	s.mrcons = make([]*ring.Consumer, cfg.Workers)
 	for i := range s.slabs {
-		s.slabs[i] = newSlab(cfg.SlabSize)
+		s.slabs[i] = newSlab(geom.slabSlots)
 		s.crp[i] = &crPersist{
-			prod: s.crmr.Producer(i, cfg.BatchSize),
+			prod: s.crmr.Producer(i, geom.batch),
 			cols: make([]crState, cfg.Workers),
 		}
 		s.mrscr[i] = &mrScratch{}
@@ -278,7 +280,7 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.MemoryBudget > 0 {
 		s.evictor = lifecycle.New(lifecycle.Config{
 			Budget:   uint64(cfg.MemoryBudget),
-			Interval: cfg.EvictInterval,
+			Interval: geom.evictPeriod,
 		}, s, s.met.reg)
 		// Kick the evictor from allocation slow paths too, so a put burst
 		// between ticks can't overshoot the budget by a full interval.

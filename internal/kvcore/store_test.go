@@ -19,7 +19,6 @@ func openTest(t *testing.T, engine Engine, mutate func(*Config)) *Store {
 		Engine:    engine,
 		Workers:   4,
 		CRWorkers: 2,
-		BatchSize: 4,
 
 		RefreshInterval: -1, // deterministic hot set: tests call RefreshHotSet
 	}
@@ -425,9 +424,9 @@ func TestCloseIsIdempotent(t *testing.T) {
 }
 
 func TestBatchedGetsMatchSerial(t *testing.T) {
-	// Tree engine with BatchSize > 1 exercises the MR layer's shared-descent
+	// Tree engine batches of 8 exercise the MR layer's shared-descent
 	// GetBatch path; results must match per-key gets exactly.
-	s := openTest(t, Tree, func(c *Config) { c.BatchSize = 8 })
+	s := openTest(t, Tree, nil)
 	for i := uint64(0); i < 512; i += 2 {
 		s.Preload(i, []byte{byte(i), byte(i >> 8)})
 	}
@@ -457,7 +456,7 @@ func TestBatchedGetsMatchSerial(t *testing.T) {
 }
 
 func TestDeleteVisibleToBatchedGets(t *testing.T) {
-	s := openTest(t, Tree, func(c *Config) { c.BatchSize = 8 })
+	s := openTest(t, Tree, nil)
 	for i := uint64(0); i < 64; i++ {
 		s.Preload(i, []byte{1})
 	}

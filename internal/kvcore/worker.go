@@ -314,7 +314,7 @@ func (s *Store) runCR(id int) {
 		s.met.forwarded.Inc(id)
 		nCR := int(s.nCR.Load())
 		if mr, fl := st.prod.Add(req, nCR, s.cfg.Workers-nCR); fl {
-			s.met.batchSize.Record(id, uint64(s.cfg.BatchSize))
+			s.met.batchSize.Record(id, uint64(len(st.curBatch)))
 			st.cols[mr].push(st.curBatch)
 			st.inflight++
 			st.curBatch = st.newBatch()

@@ -42,23 +42,22 @@ type Store interface {
 	EvictorMaintain()
 }
 
-// Config bounds the evictor. Zero values select defaults.
+// Config bounds the evictor. A zero Interval selects the default.
 type Config struct {
-	Budget     uint64        // required: high watermark on live arena bytes
-	LowWater   float64       // evict down to LowWater×Budget (default 0.9)
-	Interval   time.Duration // poll period (default 5ms)
-	MaxVictims int           // victims ranked per pass (default 1024)
+	Budget   uint64        // required: high watermark on live arena bytes
+	Interval time.Duration // poll period (default 5ms)
 }
 
+// A pass that finds the budget exceeded ranks the maxVictims coldest items
+// and evicts down to lowWater × Budget.
+const (
+	lowWater   = 0.9
+	maxVictims = 1024
+)
+
 func (c *Config) defaults() {
-	if c.LowWater <= 0 || c.LowWater > 1 {
-		c.LowWater = 0.9
-	}
 	if c.Interval <= 0 {
 		c.Interval = 5 * time.Millisecond
-	}
-	if c.MaxVictims <= 0 {
-		c.MaxVictims = 1024
 	}
 }
 
@@ -90,7 +89,7 @@ func New(cfg Config, st Store, reg *obs.Registry) *Evictor {
 		evicted: obs.NewCounter(1),
 		freed:   obs.NewCounter(1),
 	}
-	e.heap.cap = cfg.MaxVictims
+	e.heap.cap = maxVictims
 	if reg != nil && !obs.Disabled {
 		reg.GaugeFunc("mutps_memory_budget_bytes", "", "Configured memory budget (high watermark on live arena bytes).",
 			func() float64 { return float64(cfg.Budget) })
@@ -152,7 +151,7 @@ func (e *Evictor) Pass() (evictions int, freed uint64) {
 		return 0, 0
 	}
 	e.passes.Inc(0)
-	target := uint64(float64(e.cfg.Budget) * e.cfg.LowWater)
+	target := uint64(float64(e.cfg.Budget) * lowWater)
 	need := live - target
 
 	h := &e.heap

@@ -91,7 +91,7 @@ func newFake(n int, bytes int) *fakeStore {
 
 func TestPassEnforcesBudget(t *testing.T) {
 	f := newFake(100, 64) // 6400 live bytes
-	e := New(Config{Budget: 3200, LowWater: 0.5}, f, nil)
+	e := New(Config{Budget: 3200}, f, nil)
 	n, freed := e.Pass()
 	if n == 0 || freed == 0 {
 		t.Fatal("pass evicted nothing")
@@ -100,8 +100,8 @@ func TestPassEnforcesBudget(t *testing.T) {
 		t.Fatalf("live %d still above budget", got)
 	}
 	// Down to the low-water mark, not just under budget.
-	if got := f.BudgetedBytes(); got > 1600 {
-		t.Fatalf("live %d above low water 1600", got)
+	if got, low := f.BudgetedBytes(), uint64(3200*lowWater); got > low {
+		t.Fatalf("live %d above low water %d", got, low)
 	}
 	// Coldest (lowest rank) keys went first: key 99 (hottest) must survive.
 	f.mu.Lock()
@@ -127,8 +127,8 @@ func TestPassUnderBudgetIsIdle(t *testing.T) {
 func TestExpiredEvictedBeforeCold(t *testing.T) {
 	f := newFake(10, 64) // 640 bytes, ranks 0..9
 	f.expired[9] = true  // hottest item, but expired
-	e := New(Config{Budget: 600, LowWater: 0.94}, f, nil)
-	n, _ := e.Pass() // needs to free ~76 bytes → two evictions
+	e := New(Config{Budget: 600}, f, nil)
+	n, _ := e.Pass() // needs to free 100 bytes → two evictions
 	if n != 2 {
 		t.Fatalf("evicted %d, want 2", n)
 	}

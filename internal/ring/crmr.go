@@ -208,13 +208,3 @@ func (q *CRMR) Occupancy() uint64 {
 	}
 	return occ
 }
-
-// RowEmpty reports whether CR worker c's outgoing rings are all drained.
-func (q *CRMR) RowEmpty(c int) bool {
-	for m := range q.rings[c] {
-		if !q.rings[c][m].Empty() {
-			return false
-		}
-	}
-	return true
-}

@@ -19,7 +19,6 @@ const MaxBatch = 32
 type Request struct {
 	Key  uint64 // the key (or its 8-byte hash)
 	Type uint8  // operation type (matches workload.OpType values)
-	Flag uint8  // engine-specific flags (e.g. hot-covered marker for scans)
 	Size uint16 // value size or scan count
 	Buf  uint32 // network-buffer slot index (receive slot for put, response slot for get)
 }

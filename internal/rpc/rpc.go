@@ -622,19 +622,6 @@ func (s *Server) Depth() int {
 	return int(d)
 }
 
-// PendingBefore reports whether worker w still owns unconsumed slots below
-// the given switch index (used to confirm drain during reassignment).
-func (s *Server) PendingBefore(w int, sw uint64) bool {
-	next, ok := s.sched.Load().nextOwned(s.cursors[w].v.Load(), w)
-	if !ok {
-		return false
-	}
-	// Only published slots can hold requests, so the worker is drained once
-	// its next owned slot passes either the switch index or the publication
-	// frontier.
-	return next < sw && next < s.ticket.Load()
-}
-
 // Close initiates the shutdown drain; it is idempotent and safe against
 // concurrent Sends and Reconfigures. It (1) fails all subsequent Sends
 // with ErrClosed, (2) waits for in-flight Sends to publish or abandon,

@@ -212,9 +212,9 @@ func TestReconfigureGrow(t *testing.T) {
 
 func TestReconfigureShrinkRetires(t *testing.T) {
 	s := NewServer(8, 2, 2)
-	sw := s.Reconfigure(1)
-	if s.PendingBefore(1, sw) {
-		t.Fatal("no traffic yet: nothing pending")
+	s.Reconfigure(1)
+	if _, ok, retired := s.Poll(1); ok || retired {
+		t.Fatalf("no traffic yet: Poll(1) = ok %v, retired %v; want neither", ok, retired)
 	}
 	// Worker 1 hits the switch and retires.
 	for {
@@ -232,6 +232,9 @@ func TestReconfigureShrinkRetires(t *testing.T) {
 				}
 			}
 		}
+	}
+	if _, ok, retired := s.Poll(1); ok || !retired {
+		t.Fatal("a retired worker must stay retired")
 	}
 	// All subsequent traffic belongs to worker 0.
 	s.Send(Message{Key: 9})

@@ -4,8 +4,9 @@
 # Linux-only files, of the tuner and of the simulator, lines of the load
 # generator's main.go and of the root store.go, how many exported fields
 # the store's configuration structs have between them (what an embedder, a
-# flag or a harness can set on a store) and the tuner's ControllerConfig
-# has, and how many flags each command registers.
+# flag or a harness can set on a store), the cluster client's, the
+# evictor's and the tuner's configs have, and how many flags each command
+# registers.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 echo "non-test Go lines outside benchmark/: $(git ls-files '*.go' | grep -v -e '_test\.go$' -e '^benchmark/' | xargs cat | wc -l)"
@@ -22,6 +23,8 @@ fields() {
 }
 opts=$(fields store.go Options) cfg=$(fields internal/kvcore/store.go Config) loc=$(fields internal/cluster/local.go LocalOptions)
 echo "store config fields: $((opts + cfg + loc)) (mutps.Options $opts + kvcore.Config $cfg + cluster.LocalOptions $loc)"
+echo "cluster.Config fields: $(fields internal/cluster/client.go Config)"
+echo "lifecycle.Config fields: $(fields internal/lifecycle/evictor.go Config)"
 echo "tuner.ControllerConfig fields: $(fields internal/tuner/controller.go ControllerConfig)"
 for cmd in cmd/*/; do
 	# -h exits 2 after printing usage; grep -c exits 1 on a count of 0.
