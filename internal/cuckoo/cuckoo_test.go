@@ -1,25 +1,42 @@
 package cuckoo
 
 import (
-	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
 
+// box returns a fresh pointer to k: values in these tests carry the key
+// (or a payload) they were stored under, so a read can check it.
+func box(k uint64) *uint64 { return &k }
+
+func str(s string) *string { return &s }
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
 func TestBasicPutGetDelete(t *testing.T) {
-	m := New[[]byte](16)
+	m := New[*string](16)
 	if _, ok := m.Get(1); ok {
 		t.Fatal("empty map must not contain key")
 	}
-	m.Put(1, []byte("one"))
+	m.Put(1, str("one"))
 	v, ok := m.Get(1)
-	if !ok || string(v) != "one" {
-		t.Fatalf("Get(1) = %q, %v", v, ok)
+	if !ok || *v != "one" {
+		t.Fatalf("Get(1) = %v, %v", v, ok)
 	}
-	m.Put(1, []byte("uno"))
-	if v, _ := m.Get(1); string(v) != "uno" {
+	m.Put(1, str("uno"))
+	if v, _ := m.Get(1); *v != "uno" {
 		t.Fatal("Put must replace")
 	}
 	if m.Len() != 1 {
@@ -40,11 +57,17 @@ func TestBasicPutGetDelete(t *testing.T) {
 }
 
 func TestZeroKeyAndZeroValue(t *testing.T) {
-	m := New[[]byte](4)
-	m.Put(0, nil)
+	m := New[*uint64](4)
+	m.Put(0, new(uint64))
 	v, ok := m.Get(0)
-	if !ok || len(v) != 0 {
-		t.Fatal("zero key with empty value must round-trip")
+	if !ok || *v != 0 {
+		t.Fatal("zero key with a pointer to a zero value must round-trip")
+	}
+	if !m.Delete(0) {
+		t.Fatal("zero key must delete")
+	}
+	if _, ok := m.Get(0); ok {
+		t.Fatal("deleted zero key must miss: an empty slot's key reads as 0")
 	}
 }
 
@@ -61,13 +84,25 @@ func TestPointerValues(t *testing.T) {
 	}
 }
 
+func TestNonPointerValuePanics(t *testing.T) {
+	mustPanic(t, "New[[]byte]", func() { New[[]byte](4) })
+	mustPanic(t, "New[uint64]", func() { New[uint64](4) })
+	mustPanic(t, "New[any]", func() { New[any](4) })
+}
+
+func TestPutNilPanics(t *testing.T) {
+	m := New[*uint64](4)
+	mustPanic(t, "Put(k, nil)", func() { m.Put(1, nil) })
+	if m.Len() != 0 {
+		t.Fatalf("Len = %d after a refused Put, want 0", m.Len())
+	}
+}
+
 func TestGrowthKeepsAllKeys(t *testing.T) {
-	m := New[[]byte](4) // force many doublings
+	m := New[*uint64](4) // force many doublings
 	const n = 50000
 	for i := uint64(0); i < n; i++ {
-		var v [8]byte
-		binary.LittleEndian.PutUint64(v[:], i)
-		m.Put(i, v[:])
+		m.Put(i, box(i))
 	}
 	if m.Len() != n {
 		t.Fatalf("Len = %d, want %d", m.Len(), n)
@@ -77,7 +112,7 @@ func TestGrowthKeepsAllKeys(t *testing.T) {
 		if !ok {
 			t.Fatalf("key %d lost", i)
 		}
-		if binary.LittleEndian.Uint64(v) != i {
+		if *v != i {
 			t.Fatalf("key %d has wrong value", i)
 		}
 	}
@@ -87,16 +122,16 @@ func TestGrowthKeepsAllKeys(t *testing.T) {
 }
 
 func TestRange(t *testing.T) {
-	m := New[[]byte](64)
+	m := New[*string](64)
 	want := map[uint64]string{}
 	for i := uint64(0); i < 100; i++ {
 		s := fmt.Sprintf("v%d", i)
 		want[i] = s
-		m.Put(i, []byte(s))
+		m.Put(i, str(s))
 	}
 	got := map[uint64]string{}
-	m.Range(func(k uint64, v []byte) bool {
-		got[k] = string(v)
+	m.Range(func(k uint64, v *string) bool {
+		got[k] = *v
 		return true
 	})
 	if len(got) != len(want) {
@@ -109,7 +144,7 @@ func TestRange(t *testing.T) {
 	}
 	// Early stop.
 	n := 0
-	m.Range(func(uint64, []byte) bool { n++; return n < 5 })
+	m.Range(func(uint64, *string) bool { n++; return n < 5 })
 	if n != 5 {
 		t.Fatalf("early stop iterated %d times", n)
 	}
@@ -122,22 +157,22 @@ func TestMatchesReferenceMap(t *testing.T) {
 		Val  byte
 	}
 	f := func(ops []op) bool {
-		m := New[[]byte](8)
-		ref := map[uint64][]byte{}
+		m := New[*byte](8)
+		ref := map[uint64]*byte{}
 		for _, o := range ops {
 			k := uint64(o.Key % 512)
 			switch o.Kind % 3 {
 			case 0:
-				v := []byte{o.Val}
-				m.Put(k, v)
-				ref[k] = v
+				v := o.Val
+				m.Put(k, &v)
+				ref[k] = &v
 			case 1:
 				got, ok := m.Get(k)
 				want, wok := ref[k]
 				if ok != wok {
 					return false
 				}
-				if ok && string(got) != string(want) {
+				if ok && got != want {
 					return false
 				}
 			case 2:
@@ -153,7 +188,7 @@ func TestMatchesReferenceMap(t *testing.T) {
 		}
 		for k, want := range ref {
 			got, ok := m.Get(k)
-			if !ok || string(got) != string(want) {
+			if !ok || got != want {
 				return false
 			}
 		}
@@ -165,7 +200,7 @@ func TestMatchesReferenceMap(t *testing.T) {
 }
 
 func TestConcurrentMixedOps(t *testing.T) {
-	m := New[[]byte](1024)
+	m := New[*uint64](1024)
 	const (
 		goroutines = 8
 		opsPer     = 20000
@@ -182,14 +217,10 @@ func TestConcurrentMixedOps(t *testing.T) {
 				k := seed % keyspace
 				switch seed >> 62 {
 				case 0, 1:
-					v := make([]byte, 8)
-					binary.LittleEndian.PutUint64(v, k)
-					m.Put(k, v)
+					m.Put(k, box(k))
 				case 2:
-					if val, ok := m.Get(k); ok {
-						if binary.LittleEndian.Uint64(val) != k {
-							panic("read value does not match key invariant")
-						}
+					if val, ok := m.Get(k); ok && *val != k {
+						panic("read value does not match key invariant")
 					}
 				case 3:
 					m.Delete(k)
@@ -199,8 +230,8 @@ func TestConcurrentMixedOps(t *testing.T) {
 	}
 	wg.Wait()
 	// Post-condition: every remaining entry still satisfies value==key.
-	m.Range(func(k uint64, v []byte) bool {
-		if binary.LittleEndian.Uint64(v) != k {
+	m.Range(func(k uint64, v *uint64) bool {
+		if *v != k {
 			t.Errorf("entry %d corrupted", k)
 			return false
 		}
@@ -209,7 +240,7 @@ func TestConcurrentMixedOps(t *testing.T) {
 }
 
 func TestConcurrentGrowthUnderWriters(t *testing.T) {
-	m := New[[]byte](4)
+	m := New[*uint64](4)
 	var wg sync.WaitGroup
 	const writers = 4
 	const perWriter = 8000
@@ -219,9 +250,7 @@ func TestConcurrentGrowthUnderWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				k := uint64(w*perWriter + i)
-				v := make([]byte, 8)
-				binary.LittleEndian.PutUint64(v, k)
-				m.Put(k, v)
+				m.Put(k, box(k))
 			}
 		}(w)
 	}
@@ -230,25 +259,113 @@ func TestConcurrentGrowthUnderWriters(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", m.Len(), writers*perWriter)
 	}
 	for k := uint64(0); k < writers*perWriter; k++ {
-		if v, ok := m.Get(k); !ok || binary.LittleEndian.Uint64(v) != k {
+		if v, ok := m.Get(k); !ok || *v != k {
 			t.Fatalf("key %d missing or wrong after concurrent growth", k)
 		}
 	}
 }
 
 func TestTinyCapacityHint(t *testing.T) {
-	m := New[[]byte](0)
-	m.Put(42, []byte("x"))
-	if v, ok := m.Get(42); !ok || string(v) != "x" {
+	m := New[*string](0)
+	m.Put(42, str("x"))
+	if v, ok := m.Get(42); !ok || *v != "x" {
 		t.Fatal("map with zero hint must still work")
 	}
 }
 
+// TestSlotReuseStress is the guard on Get's version recheck. Two buckets
+// hold three of six keys at a time, and one writer rotates them: delete
+// k, insert k+3. Every insert lands in the slot a delete just emptied, so
+// a reader that matched the old key and then loaded the pointer can get
+// the new key's value — unless the stripe versions send it back.
+func TestSlotReuseStress(t *testing.T) {
+	const keys = 6
+	cycles := 1_000_000
+	if raceEnabled || testing.Short() {
+		cycles = 200_000
+	}
+	m := New[*uint64](4)
+	if got := m.Capacity(); got != 2*slotsPerBucket {
+		t.Fatalf("New(4) has %d slots, want two buckets", got)
+	}
+	var vals [keys]*uint64
+	for k := range vals {
+		vals[k] = box(uint64(k))
+	}
+	for k := uint64(0); k < keys/2; k++ {
+		m.Put(k, vals[k])
+	}
+	var done atomic.Bool
+	var wrong, hits atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < runtime.GOMAXPROCS(0); r++ {
+		wg.Add(1)
+		go func(r uint64) {
+			defer wg.Done()
+			var h, w int64
+			for k := r; !done.Load(); k = (k + 1) % keys {
+				if v, ok := m.Get(k); ok {
+					h++
+					if *v != k {
+						w++
+					}
+				}
+			}
+			hits.Add(h)
+			wrong.Add(w)
+		}(uint64(r))
+	}
+	for i := 0; i < cycles; i++ {
+		k := uint64(i % keys)
+		m.Delete(k)
+		m.Put((k+keys/2)%keys, vals[(k+keys/2)%keys])
+	}
+	done.Store(true)
+	wg.Wait()
+	if m.Capacity() != 2*slotsPerBucket {
+		t.Fatalf("table grew to %d slots: the stress must reuse slots, not spread out", m.Capacity())
+	}
+	if n := wrong.Load(); n != 0 {
+		t.Fatalf("%d of %d hits returned another key's value", n, hits.Load())
+	}
+	t.Logf("%d cycles, %d checked hits", cycles, hits.Load())
+}
+
+// TestInsertAllocFree fills a pre-sized table to 85% of its slots, deep
+// into displacement territory, and requires new-key puts to allocate
+// nothing while the table keeps its size.
+func TestInsertAllocFree(t *testing.T) {
+	const runs = 20
+	m := New[*uint64](1 << 16)
+	capacity := m.Capacity()
+	batch := uint64(capacity*85/100) / (runs + 1)
+	v := box(1)
+	next := uint64(0)
+	fill := func() {
+		for end := next + batch; next < end; next++ {
+			m.Put(next, v)
+		}
+	}
+	// One warm-up batch, then runs measured batches up to 85% load. The
+	// average is per batch, so a real per-kick allocation (thousands of
+	// kicks) shows and a stray runtime allocation does not.
+	avg := testing.AllocsPerRun(runs, fill)
+	if m.Capacity() != capacity {
+		t.Fatalf("table grew from %d to %d slots at %d keys", capacity, m.Capacity(), m.Len())
+	}
+	if m.Len() != int(next) {
+		t.Fatalf("Len = %d, want %d", m.Len(), next)
+	}
+	if avg != 0 && !raceEnabled {
+		t.Fatalf("%v allocations per batch of %d new-key puts, want 0", avg, batch)
+	}
+}
+
 func BenchmarkGet(b *testing.B) {
-	m := New[[]byte](1 << 20)
-	var v [64]byte
+	m := New[*uint64](1 << 20)
+	v := box(0)
 	for i := uint64(0); i < 1<<20; i++ {
-		m.Put(i, v[:])
+		m.Put(i, v)
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -261,14 +378,14 @@ func BenchmarkGet(b *testing.B) {
 }
 
 func BenchmarkPut(b *testing.B) {
-	m := New[[]byte](1 << 20)
-	var v [64]byte
+	m := New[*uint64](1 << 20)
+	v := box(0)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := uint64(0)
 		for pb.Next() {
 			i = i*6364136223846793005 + 1
-			m.Put(i%(1<<20), v[:])
+			m.Put(i%(1<<20), v)
 		}
 	})
 }

@@ -4,22 +4,30 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
 
+	"mutps/internal/cuckoo"
 	"mutps/internal/seqitem"
 )
 
 // TestBytesPerItem is the memory-resident layer's density gate: 100k items
 // of uniform 64–512 B values (uniform_mix's shape) may hold at most 1.12×
-// their value bytes in arena slots, and an item header fits one 64-byte
-// cache line. With -v it prints the per-item ledger.
+// their value bytes in arena slots, an item header fits one 64-byte cache
+// line, and the items and their index entries add at most 0.1 heap objects
+// per item — headers and slots come in chunks, and the index keeps keys
+// and item pointers inline in its buckets. With -v it prints the per-item
+// ledger.
 func TestBytesPerItem(t *testing.T) {
 	const keys = 100_000
 	s := openAllocStore(t, 0)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
 	rng := rand.New(rand.NewSource(34))
 	val := make([]byte, 512)
 	var valueBytes uint64
@@ -29,16 +37,26 @@ func TestBytesPerItem(t *testing.T) {
 		s.Preload(k, val[:n])
 		valueBytes += uint64(n)
 	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	objects := float64(after.HeapObjects) - float64(before.HeapObjects)
 	slotBytes := uint64(s.Metrics().SnapshotMap()["mutps_arena_live_bytes"])
 	header := unsafe.Sizeof(seqitem.Item{})
-	t.Logf("per item: %.1f B value, %.1f B slot (%.3fx), %d B header",
-		float64(valueBytes)/keys, float64(slotBytes)/keys, float64(slotBytes)/float64(valueBytes), header)
+	// An index slot is an inline 8 B key and 8 B item pointer.
+	indexBytes := s.idx.(*cuckoo.Map[*seqitem.Item]).Capacity() * 16
+	t.Logf("per item: %.1f B value, %.1f B slot (%.3fx), %d B header, %.1f B index, %.3f heap objects",
+		float64(valueBytes)/keys, float64(slotBytes)/keys, float64(slotBytes)/float64(valueBytes), header,
+		float64(indexBytes)/keys, objects/keys)
 	if limit := valueBytes * 112 / 100; slotBytes > limit {
 		t.Errorf("arena holds %d B for %d B of values (%.3fx), want at most 1.12x",
 			slotBytes, valueBytes, float64(slotBytes)/float64(valueBytes))
 	}
 	if header > 64 {
 		t.Errorf("item header is %d B, want at most one 64 B cache line", header)
+	}
+	if objects > 0.1*keys {
+		t.Errorf("%d items added %.0f heap objects (%.3f per item), want at most 0.1 per item",
+			keys, objects, objects/keys)
 	}
 }
 

@@ -9,8 +9,6 @@
 package kvcore
 
 import (
-	"sync/atomic"
-
 	"mutps/internal/btree"
 	"mutps/internal/cuckoo"
 	"mutps/internal/seqitem"
@@ -54,57 +52,12 @@ type BatchIndex interface {
 	GetBatch(keys []uint64, vals []*seqitem.Item, found []bool) ([]*seqitem.Item, []bool)
 }
 
-// itemRef is a stable indirection cell between the cuckoo table and the
-// item record. The cuckoo map allocates a fresh entry on every Put — fine
-// for inserts, fatal for the GC-quiet write path, where a same-key item
-// replacement must not allocate. Storing the box once and swapping its
-// pointer makes replacement a single atomic store. (The B+-tree needs no
-// box: its Put overwrites the value slot of an existing key in place.)
-type itemRef struct{ p atomic.Pointer[seqitem.Item] }
-
-type hashIndex struct {
-	m *cuckoo.Map[*itemRef]
-}
-
+// newHashIndex is μTPS-H's index: the cuckoo map itself. Its buckets
+// hold item pointers inline, so a same-key replacement is one atomic
+// store into the key's slot and allocates nothing, and its Range (which
+// WalkItems finds by assertion) reads each bucket consistently.
 func newHashIndex(capacityHint int) Index {
-	return &hashIndex{m: cuckoo.New[*itemRef](capacityHint)}
-}
-
-func (h *hashIndex) Get(key uint64) (*seqitem.Item, bool) {
-	if r, ok := h.m.Get(key); ok {
-		if it := r.p.Load(); it != nil {
-			return it, true
-		}
-	}
-	return nil, false
-}
-
-// Put inserts or replaces. Writers for one key are serialized by the
-// store's key-stripe locks, so the get-then-store sequence cannot race
-// with another Put or Delete of the same key.
-func (h *hashIndex) Put(key uint64, it *seqitem.Item) {
-	if r, ok := h.m.Get(key); ok {
-		r.p.Store(it)
-		return
-	}
-	r := &itemRef{}
-	r.p.Store(it)
-	h.m.Put(key, r)
-}
-
-func (h *hashIndex) Delete(key uint64) bool { return h.m.Delete(key) }
-func (h *hashIndex) Len() int               { return h.m.Len() }
-
-// Range visits every indexed item — a best-effort snapshot under
-// concurrent writes (cuckoo.Map.Range's contract), which is all the
-// evictor's victim scan needs.
-func (h *hashIndex) Range(f func(key uint64, it *seqitem.Item) bool) {
-	h.m.Range(func(k uint64, r *itemRef) bool {
-		if it := r.p.Load(); it != nil {
-			return f(k, it)
-		}
-		return true
-	})
+	return cuckoo.New[*seqitem.Item](capacityHint)
 }
 
 type treeIndex struct {
