@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -47,8 +48,6 @@ func main() {
 		"period of the cold tier's location-index checkpoint; restart replays only the log written since the last checkpoint (0 = 30s default, negative = disable)")
 	defaultTTL := flag.Duration("default-ttl", 0,
 		"TTL applied to puts that carry no explicit TTL, e.g. 10m (0 = never expire)")
-	transport := flag.String("transport", "",
-		"where an idle connection waits: goroutine (portable, in its two goroutines) or epoll (Linux: parked in one epoll set, costing a descriptor and no goroutine or buffer); empty honors MUTPS_TRANSPORT then defaults to goroutine")
 	autotune := flag.Bool("autotune", false,
 		"run the closed-loop auto-tuner: sample throughput and mean latency every 100ms and, on the first window more than 25% off the moving baseline, re-search the thread split and hot-set size online (10ms probes, at most one search per 3s, winner kept only above 5% gain), without pausing traffic")
 	flag.Parse()
@@ -97,7 +96,6 @@ func main() {
 		IdleTimeout: *idleTimeout,
 		MaxConns:    *maxConns,
 		MaxInflight: *inflight,
-		Transport:   *transport,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -170,11 +168,15 @@ func metricsMux(store *kvcore.Store) *http.ServeMux {
 }
 
 // parseSize parses a byte count with an optional K/M/G suffix (powers of
-// 1024, case-insensitive). An empty string is 0.
+// 1024, case-insensitive). An empty string is 0. A negative count, or one
+// that does not fit in an int64 once multiplied out, is an error: both
+// flags that take a size read 0 as "the default", so either would
+// otherwise be silently replaced.
 func parseSize(s string) (int64, error) {
 	if s == "" {
 		return 0, nil
 	}
+	in := s
 	mult := int64(1)
 	switch s[len(s)-1] {
 	case 'k', 'K':
@@ -185,8 +187,13 @@ func parseSize(s string) (int64, error) {
 		mult, s = 1<<30, s[:len(s)-1]
 	}
 	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad size %q (want digits with optional K/M/G suffix)", s)
+	switch {
+	case err != nil:
+		return 0, fmt.Errorf("bad size %q (want digits with optional K/M/G suffix)", in)
+	case n < 0:
+		return 0, fmt.Errorf("negative size %q", in)
+	case n > math.MaxInt64/mult:
+		return 0, fmt.Errorf("size %q overflows 64 bits", in)
 	}
 	return n * mult, nil
 }

@@ -58,10 +58,6 @@ const (
 	DefaultChunkBytes = 256 << 10
 )
 
-// Pooled reports whether a value of n bytes is served from the size
-// classes (false means Get falls back to the Go allocator).
-func Pooled(n int) bool { return n <= MaxClassBytes }
-
 // classFor maps a byte size in (0, MaxClassBytes] to its class index.
 func classFor(n int) int {
 	if n <= smallMaxBytes {

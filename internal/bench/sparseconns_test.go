@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"net"
 	"os"
 	"runtime"
 	"syscall"
@@ -17,17 +18,21 @@ import (
 
 // BenchmarkSparseConns is the million-connection-front-end scaling probe:
 // N open connections with only ~1% active at any instant (rotating), the
-// workload shape the epoll transport exists for. It compares the two
-// transports on throughput, tail latency, and — the real subject — what
-// the idle 99% cost: goroutines, leased transport buffers, and live heap.
+// workload shape the parking lot exists for. It compares where an idle
+// connection waits on throughput, tail latency, and — the real subject —
+// what the idle 99% cost: goroutines, leased transport buffers, and live
+// heap. The two arms are picked by listener kind, as the server picks:
+// transport=epoll serves a plain TCP listener, which gets the lot on Linux;
+// transport=goroutine serves the same listener behind a struct that hides
+// its type, which gets no lot, as on every other platform.
 //
 // Run in-process, so the goroutine count and heap include the client side
 // (one pipelined client per connection, ~1 goroutine and a small bufio
-// each); that cost is identical across transports, so the *difference*
-// between the goroutine and epoll rows isolates the server transport:
-// two goroutines per connection on goroutine, on epoll the lot's one plus
-// two per connection that sent something in the last millisecond — read
-// the goroutines metric against conns + 2×active + 8.
+// each); that cost is identical across arms, so the *difference* between
+// the goroutine and epoll rows isolates where the server keeps an idle
+// connection: two goroutines per connection without the lot, with it the
+// lot's one plus two per connection that sent something in the last
+// millisecond — read the goroutines metric against conns + 2×active + 8.
 // Client and server split the fd budget in one process (2 fds/conn), so
 // tiers the RLIMIT_NOFILE can't cover skip; the canonical 10k-conn
 // numbers are measured out-of-process by mutps-loadgen -conns (see
@@ -63,10 +68,14 @@ func benchSparseConns(b *testing.B, tr string, conns int) {
 	for k := uint64(0); k < nKeys; k++ {
 		store.Preload(k, val)
 	}
-	srv, err := netserver.ListenAndServe(store, "127.0.0.1:0", netserver.Config{Transport: tr})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
+	if tr == netserver.TransportGoroutine {
+		ln = struct{ net.Listener }{ln} // no *net.TCPListener, no lot
+	}
+	srv := netserver.ServeConfig(store, ln, netserver.Config{})
 	defer srv.Close()
 	if srv.Transport() != tr {
 		b.Skipf("%s transport unavailable on this platform", tr)
@@ -103,7 +112,7 @@ func benchSparseConns(b *testing.B, tr string, conns int) {
 		leased = m["mutps_net_leased_buffer_bytes"]
 		idle = m["mutps_net_idle_conns"]
 		// Pipeline starts per request: 1/32 is one per burst, toward 1 the
-		// park policy thrashes. Zero on the goroutine transport.
+		// park policy thrashes. Zero without the lot.
 		b.ReportMetric(m["mutps_net_activations_total"]/m["mutps_net_ops_retired_total"], "activations/op")
 	}
 	b.ReportMetric(float64(b.N)/res.Elapsed.Seconds(), "ops/s")

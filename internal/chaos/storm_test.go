@@ -30,8 +30,8 @@ func countFDs() int {
 // flight. Afterwards the server must be fully healthy — every
 // connection's fd closed (checked against /proc/self/fd, since client and
 // server share this process), every per-connection goroutine gone, and a
-// fresh connection served normally. Runs against whichever transport
-// MUTPS_TRANSPORT selects, so CI covers both.
+// fresh connection served normally. On Linux the server parks idle
+// connections, so the storm also races park and activation.
 func TestConnectDisconnectStorm(t *testing.T) {
 	before := runtime.NumGoroutine()
 	srv, s := startPipelinedServer(t, 0)

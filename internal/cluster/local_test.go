@@ -12,10 +12,10 @@ import (
 // TestLocalShardsServeHot: an in-process shard is opened the way every
 // store is, so its hot-set refresher runs and a skewed get burst ends up
 // served at the cache-resident layer. (LaunchLocal used to open shards
-// without a refresher: cr_hits stayed 0 forever and -hot did nothing.)
+// without a refresher: CR hits stayed 0 forever and -hot did nothing.)
 func TestLocalShardsServeHot(t *testing.T) {
 	if obs.Disabled {
-		t.Skip("cr_hits comes from the obs instruments")
+		t.Skip("CR hits come from the obs instruments")
 	}
 	const nShards, perShard = 2, 4
 	l, err := LaunchLocal(nShards, LocalOptions{
@@ -66,7 +66,7 @@ func TestLocalShardsServeHot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if crHits[i] = m["cr_hits"]; crHits[i] > 0 {
+			if crHits[i] = m[`mutps_cr_requests_total{result="hit"}`]; crHits[i] > 0 {
 				served++
 			}
 		}
@@ -74,5 +74,5 @@ func TestLocalShardsServeHot(t *testing.T) {
 			return
 		}
 	}
-	t.Fatalf("cr_hits per shard after 1s of skewed gets = %v, want every shard > 0", crHits)
+	t.Fatalf("CR hits per shard after 1s of skewed gets = %v, want every shard > 0", crHits)
 }

@@ -24,9 +24,9 @@ func cpuTime(t *testing.T) time.Duration {
 // TestIdleStoreBurnsNoCPU: with polling replaced by bells, a server nobody
 // talks to costs (almost) nothing — no yield loop, no timed naps. A store
 // with its hot-set refresher running at Open's default period, a server on
-// either transport and one open idle connection must keep the whole process
-// under 2% of one CPU for half a second. The Gosched/50µs-nap loops this
-// replaces measured over 100% here.
+// either arm (startTransportServer) and one open idle connection must keep
+// the whole process under 2% of one CPU for half a second. The
+// Gosched/50µs-nap loops this replaces measured over 100% here.
 func TestIdleStoreBurnsNoCPU(t *testing.T) {
 	const window = 500 * time.Millisecond
 	budget := window / 50 // 2% of one CPU

@@ -1,11 +1,11 @@
 //go:build linux
 
-// The parking lot: where the epoll transport keeps a connection that is
-// not sending. A parked connection is its descriptor, armed in the lot's
-// one epoll set, and its srvConn — no goroutine, no pipeline, no buffer.
-// One goroutine waits on the set; all it does with a readable connection
-// is take it out of the lot and start the pipeline the goroutine transport
-// would have kept running (transport.activate). Peer hang-ups take the
+// The parking lot: where a server on a TCP listener keeps a connection
+// that is not sending. A parked connection is its descriptor, armed in the
+// lot's one epoll set, and its srvConn — no goroutine, no pipeline, no
+// buffer. One goroutine waits on the set; all it does with a readable
+// connection is take it out of the lot and start the pipeline that would
+// otherwise have waited in a read (transport.activate). Peer hang-ups take the
 // same road: the pipeline reads the EOF and drops the connection.
 //
 // Arming is level-triggered and one-shot (EPOLLIN|EPOLLRDHUP|EPOLLONESHOT).

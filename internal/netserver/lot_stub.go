@@ -1,7 +1,8 @@
 //go:build !linux
 
-// No parking lot off Linux: newParkingLot returns nil, so TransportEpoll
-// is served by the goroutine transport and stays a soft request.
+// No parking lot off Linux: newParkingLot returns nil, so every
+// connection waits in its pipeline and Server.Transport reports
+// TransportGoroutine.
 package netserver
 
 // epollSupported reports whether this build carries the parking lot.

@@ -127,14 +127,6 @@ type Config struct {
 	// TCP flow control). 1 degenerates to the old synchronous
 	// one-op-at-a-time loop; zero or negative means DefaultInflight.
 	MaxInflight int
-
-	// Transport says where an idle connection waits: TransportGoroutine
-	// (in its pipeline, two goroutines each; portable default) or
-	// TransportEpoll (parked in one epoll set, no goroutine or buffer; Linux
-	// only — elsewhere it falls back to goroutine). Empty consults the
-	// MUTPS_TRANSPORT environment variable, then defaults to goroutine. Any
-	// other name is an error.
-	Transport string
 }
 
 // DefaultInflight is the per-connection window used when
@@ -215,38 +207,23 @@ func Serve(store *kvcore.Store, ln net.Listener) *Server {
 // into the store's metric registry; registration is idempotent, so several
 // servers over one store share series.
 //
-// When the configured transport is epoll (Config.Transport or the
-// MUTPS_TRANSPORT environment variable) and it is unsupported here — no
-// epoll on this platform, or ln is not a *net.TCPListener — the goroutine
-// transport serves ln instead: the caller always gets a working server,
-// and Transport reports which. An unknown transport name is not
-// unsupported but wrong, and with no error to return ServeConfig panics on
-// it; ListenAndServe returns it as an error.
+// Where an idle connection waits follows from the platform and ln (see
+// transport.go): in the parking lot on Linux when ln is a
+// *net.TCPListener, in its pipeline otherwise. Transport reports which.
 func ServeConfig(store *kvcore.Store, ln net.Listener, cfg Config) *Server {
-	name, err := chooseTransport(cfg)
-	if err != nil {
-		panic(err)
-	}
 	s := newServer(store, cfg)
-	s.tr = newTransport(s, ln, name)
+	s.tr = newTransport(s, ln)
 	return s
 }
 
-// ListenAndServe binds addr and serves the store on the configured
-// transport, like ServeConfig on a fresh TCP listener. A transport name
-// that is neither goroutine, epoll nor empty is an error.
+// ListenAndServe binds addr and serves the store on it, like ServeConfig
+// on a fresh TCP listener.
 func ListenAndServe(store *kvcore.Store, addr string, cfg Config) (*Server, error) {
-	name, err := chooseTransport(cfg)
-	if err != nil {
-		return nil, err
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s := newServer(store, cfg)
-	s.tr = newTransport(s, ln, name)
-	return s, nil
+	return ServeConfig(store, ln, cfg), nil
 }
 
 // newServer builds the server core: protocol state, the buffer leaser and
@@ -295,9 +272,9 @@ func (s *Server) Addr() net.Addr { return s.tr.ln.Addr() }
 // is a no-op.
 func (s *Server) Close() error { return s.tr.Close() }
 
-// Transport reports which transport actually serves this server —
-// TransportEpoll only when it was requested and the platform delivered
-// it, so startup logs show the real connection cost model.
+// Transport reports where this server's idle connections wait —
+// TransportEpoll when the platform delivered the parking lot, else
+// TransportGoroutine — so startup logs show the real connection cost model.
 func (s *Server) Transport() string {
 	if s.tr.lot != nil {
 		return TransportEpoll
@@ -305,24 +282,11 @@ func (s *Server) Transport() string {
 	return TransportGoroutine
 }
 
-// stableStatNames lead every stats2 payload: the store's five headline
-// counters under fixed short names, so a consumer can read them without
-// knowing the registry's series names.
-var stableStatNames = [5]string{"ops", "cr_hits", "forwarded", "items", "hot_size"}
-
-// appendStats2 builds the stats2 payload: the five stable counters, then
-// every sample the store's metric registry exports.
+// appendStats2 builds the stats2 payload: every sample the store's metric
+// registry exports, under its series name.
 func (s *Server) appendStats2(body []byte) []byte {
-	st := s.store.Stats()
-	stable := [5]float64{
-		float64(st.Ops), float64(st.CRHits), float64(st.Forwarded),
-		float64(st.Items), float64(st.HotSize),
-	}
 	samples := s.store.Metrics().Snapshot()
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(stable)+len(samples)))
-	for i, name := range stableStatNames {
-		body = appendStat(body, name, stable[i])
-	}
+	body = binary.LittleEndian.AppendUint32(body, uint32(len(samples)))
 	for _, smp := range samples {
 		body = appendStat(body, smp.Name, smp.Value)
 	}
@@ -504,8 +468,8 @@ func (c *Client) Delete(key uint64) (bool, error) {
 }
 
 // StatsMap fetches the server's stats2 payload: every metric the server
-// exports, keyed by series name, led by the five stable counters "ops",
-// "cr_hits", "forwarded", "items", "hot_size".
+// exports, keyed by series name as /metrics prints it, e.g.
+// `mutps_ops_total{op="get"}` or `mutps_items`.
 func (c *Client) StatsMap() (map[string]float64, error) {
 	_, body, err := c.roundTrip(OpStats2, 0, nil)
 	if err != nil {

@@ -192,8 +192,8 @@ func TestStatsOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m["ops"] < 2 || m["items"] != 1 {
-		t.Fatalf("stats: ops=%v items=%v", m["ops"], m["items"])
+	if opsTotal(m) < 2 || m["mutps_items"] != 1 {
+		t.Fatalf("stats: mutps_ops_total=%v mutps_items=%v", opsTotal(m), m["mutps_items"])
 	}
 }
 

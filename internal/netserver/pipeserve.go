@@ -26,9 +26,9 @@
 //
 // Pipeline lifetime: a pipeline is ~66 KiB of slots, channels and bufio,
 // so it is drawn from a per-server sync.Pool and returned when run ends.
-// On the goroutine transport that is when the connection ends. Under the
-// parking lot (transport.go) run also ends when the connection goes idle:
-// the pipeline goes back to the pool and the connection back to the lot.
+// Without the parking lot that is when the connection ends. With it
+// (transport.go) run also ends when the connection goes idle: the
+// pipeline goes back to the pool and the connection back to the lot.
 package netserver
 
 import (
@@ -132,10 +132,15 @@ func (s *Server) pipeline(c *srvConn, parks bool) *connPipeline {
 }
 
 // recycle returns a pipeline whose run has ended to the pool. It keeps the
-// slots, channels and bufio buffers; the scan/stats build buffer, which
-// one large response can grow without bound, is let go.
+// slots, channels and bufio buffers, and the scan/stats build buffer up to
+// the response writer's size, so a connection that parks between bursts
+// does not regrow it at every activation; one that a large response grew
+// past that is let go.
 func (s *Server) recycle(p *connPipeline) {
-	p.conn, p.exec.body = nil, nil
+	p.conn = nil
+	if cap(p.exec.body) > pipeWriterBuf {
+		p.exec.body = nil
+	}
 	p.r.Reset(nil)
 	p.w.Reset(nil)
 	s.pipes.Put(p)

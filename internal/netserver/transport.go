@@ -1,56 +1,32 @@
 // The transport layer of the network server: who owns sockets and what an
 // idle one costs. There is one connection engine — the pipelined executor
 // of pipeserve.go — and one accept loop, MaxConns check, reject path and
-// Close in front of it. The two transport names differ only in where a
-// connection waits while it has nothing to say:
+// Close in front of it. Where a connection waits while it has nothing to
+// say is a property of the platform and the listener, not an option:
 //
-//   - goroutine: in its pipeline, blocked in a read. Portable; an idle
-//     connection costs two goroutines, a window of slots and its bufio
-//     buffers (~66 KiB with stacks).
-//   - epoll (Linux): in the parking lot (lot_linux.go), as a descriptor
-//     armed in one epoll set. It holds no goroutine, no pipeline and no
-//     buffer; the lot starts a pipeline when the socket becomes readable
-//     and takes the connection back when the pipeline reports it idle.
-//
-// Selection: Config.Transport, or the MUTPS_TRANSPORT environment
-// variable when the config is silent — which is how the whole test suite
-// (FIFO equivalence, chaos) runs unmodified against the lot in CI. A name
-// that is neither is an error; epoll where the platform or the listener
-// cannot deliver it falls back to goroutine, so binaries stay portable.
+//   - on Linux with a *net.TCPListener, in the parking lot (lot_linux.go),
+//     as a descriptor armed in one epoll set. It holds no goroutine, no
+//     pipeline and no buffer; the lot starts a pipeline when the socket
+//     becomes readable and takes the connection back when the pipeline
+//     reports it idle. Server.Transport reports TransportEpoll.
+//   - anywhere else, including any other listener type, in its pipeline,
+//     blocked in a read: two goroutines, a window of slots and its bufio
+//     buffers (~66 KiB with stacks). Server.Transport reports
+//     TransportGoroutine.
 package netserver
 
 import (
 	"bufio"
-	"fmt"
 	"net"
-	"os"
 	"sync"
 	"time"
 )
 
-// Transport names for Config.Transport / MUTPS_TRANSPORT.
+// Transport names, as Server.Transport reports them.
 const (
 	TransportGoroutine = "goroutine"
 	TransportEpoll     = "epoll"
 )
-
-// chooseTransport resolves the configured transport name: the explicit
-// config wins, then the MUTPS_TRANSPORT environment variable, then the
-// portable default. A name that is not a transport is an error, never a
-// silent goroutine server.
-func chooseTransport(cfg Config) (string, error) {
-	name := cfg.Transport
-	if name == "" {
-		name = os.Getenv("MUTPS_TRANSPORT")
-	}
-	switch name {
-	case "":
-		return TransportGoroutine, nil
-	case TransportGoroutine, TransportEpoll:
-		return name, nil
-	}
-	return "", fmt.Errorf("netserver: unknown transport %q (want %q or %q)", name, TransportGoroutine, TransportEpoll)
-}
 
 // srvConn is one accepted connection: all a parked connection costs
 // beyond its descriptor.
@@ -65,7 +41,7 @@ type srvConn struct {
 type transport struct {
 	s   *Server
 	ln  net.Listener
-	lot *parkingLot // nil on the goroutine transport
+	lot *parkingLot // nil where connections wait in their pipelines
 
 	mu     sync.Mutex
 	conns  map[*srvConn]struct{} // every open connection, parked or active
@@ -73,14 +49,12 @@ type transport struct {
 	wg     sync.WaitGroup // the accept loop and every running pipeline
 }
 
-// newTransport starts serving ln. Under TransportEpoll it opens the lot;
-// where that cannot be done — no epoll on this platform, a listener whose
-// connections expose no descriptor, no descriptor left for the set —
-// connections wait in their pipelines instead and Server.Transport reports
-// goroutine.
-func newTransport(s *Server, ln net.Listener, name string) *transport {
+// newTransport starts serving ln. On a *net.TCPListener it opens the lot;
+// where that cannot be done — no epoll on this platform, no descriptor
+// left for the set — connections wait in their pipelines instead.
+func newTransport(s *Server, ln net.Listener) *transport {
 	t := &transport{s: s, ln: ln, conns: map[*srvConn]struct{}{}}
-	if _, tcp := ln.(*net.TCPListener); tcp && name == TransportEpoll {
+	if _, tcp := ln.(*net.TCPListener); tcp {
 		t.lot = newParkingLot(t)
 	}
 	t.wg.Add(1)

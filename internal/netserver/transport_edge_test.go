@@ -15,9 +15,12 @@ import (
 	"mutps/internal/obs"
 )
 
-// startTransportServer starts a server on the named transport with cfg's
-// other fields. Epoll requests skip on platforms without it, so the suite
-// stays portable while exercising both cost models on Linux.
+// startTransportServer starts a server on the named transport's arm with
+// cfg. The arm is picked by listener kind, as the server picks where an
+// idle connection waits: TransportEpoll serves a plain TCP listener, which
+// gets the parking lot (and skips off Linux, where there is none);
+// TransportGoroutine serves the same listener behind hiddenListener, which
+// gets no lot, as on every other platform.
 func startTransportServer(t *testing.T, tr string, cfg Config) *Server {
 	t.Helper()
 	return startTransportStore(t, tr, cfg, kvcore.Config{Engine: kvcore.Hash, Workers: 3, CRWorkers: 1})
@@ -26,29 +29,43 @@ func startTransportServer(t *testing.T, tr string, cfg Config) *Server {
 // startTransportStore is startTransportServer over a store opened with sc.
 func startTransportStore(t *testing.T, tr string, cfg Config, sc kvcore.Config) *Server {
 	t.Helper()
-	if tr == TransportEpoll && !epollSupported {
-		t.Skip("epoll transport requires linux")
-	}
 	store, err := kvcore.Open(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Transport = tr
-	srv, err := ListenAndServe(store, "127.0.0.1:0", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.Transport(); got != tr {
-		t.Fatalf("serving via %s transport, requested %s", got, tr)
-	}
-	t.Cleanup(func() {
-		srv.Close()
-		store.Close()
-	})
+	t.Cleanup(func() { store.Close() })
+	srv := serveTransport(t, store, tr, cfg)
+	t.Cleanup(func() { srv.Close() })
 	return srv
 }
 
-// forEachTransport runs fn as a subtest against both transports.
+// hiddenListener hides a listener's concrete type, so the server cannot
+// tell it is TCP and keeps every connection in its pipeline.
+type hiddenListener struct{ net.Listener }
+
+// serveTransport serves store on a fresh loopback listener of tr's arm
+// (see startTransportServer) and checks the server reports tr.
+func serveTransport(t *testing.T, store *kvcore.Store, tr string, cfg Config) *Server {
+	t.Helper()
+	if tr == TransportEpoll && !epollSupported {
+		t.Skip("the parking lot requires linux")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr == TransportGoroutine {
+		ln = hiddenListener{ln}
+	}
+	srv := ServeConfig(store, ln, cfg)
+	if got := srv.Transport(); got != tr {
+		srv.Close()
+		t.Fatalf("serving via %s transport, want %s", got, tr)
+	}
+	return srv
+}
+
+// forEachTransport runs fn as a subtest against both arms.
 func forEachTransport(t *testing.T, fn func(t *testing.T, srv *Server)) {
 	forEachTransportCfg(t, Config{}, fn)
 }
@@ -509,43 +526,37 @@ func TestMaxConnsCountsIdleConns(t *testing.T) {
 	})
 }
 
-// TestUnknownTransportIsAnError: a transport name that is neither
-// goroutine nor epoll — a typo, or epoll in the wrong case — used to serve
-// on the goroutine transport without a word.
-func TestUnknownTransportIsAnError(t *testing.T) {
+// TestTransportFollowsListener: where an idle connection waits is the
+// platform's and the listener's call. ListenAndServe on Linux parks idle
+// connections in the lot; a listener whose type is hidden does not, and
+// neither does any listener off Linux.
+func TestTransportFollowsListener(t *testing.T) {
 	store, err := kvcore.Open(kvcore.Config{Engine: kvcore.Hash, Workers: 2, CRWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	serve := func(cfg Config) (err error) {
-		srv, err := ListenAndServe(store, "127.0.0.1:0", cfg)
-		if err == nil {
-			srv.Close()
-		}
-		return err
+	srv, err := ListenAndServe(store, "127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := serve(Config{Transport: "epol"}); err == nil || !strings.Contains(err.Error(), `"epol"`) {
-		t.Fatalf("ListenAndServe with transport epol: %v, want an error naming it", err)
+	want := TransportGoroutine
+	if runtime.GOOS == "linux" {
+		want = TransportEpoll
 	}
-	t.Setenv("MUTPS_TRANSPORT", "Epoll")
-	if err := serve(Config{}); err == nil {
-		t.Fatal("ListenAndServe with MUTPS_TRANSPORT=Epoll served")
+	if got := srv.Transport(); got != want {
+		t.Errorf("ListenAndServe on %s: %s transport, want %s", runtime.GOOS, got, want)
 	}
-	if err := serve(Config{Transport: TransportGoroutine}); err != nil {
-		t.Fatalf("an explicit transport must win over a bad MUTPS_TRANSPORT: %v", err)
-	}
+	srv.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ServeConfig with MUTPS_TRANSPORT=Epoll served instead of panicking")
-		}
-	}()
-	ServeConfig(store, ln, Config{}).Close()
+	srv = ServeConfig(store, hiddenListener{ln}, Config{})
+	defer srv.Close()
+	if got := srv.Transport(); got != TransportGoroutine {
+		t.Errorf("a listener that hides its type: %s transport, want %s", got, TransportGoroutine)
+	}
 }
 
 // TestCloseTwice: Close is idempotent and leaves nothing behind, whatever
@@ -556,9 +567,6 @@ func TestUnknownTransportIsAnError(t *testing.T) {
 func TestCloseTwice(t *testing.T) {
 	for _, tr := range []string{TransportGoroutine, TransportEpoll} {
 		t.Run(tr, func(t *testing.T) {
-			if tr == TransportEpoll && !epollSupported {
-				t.Skip("epoll transport requires linux")
-			}
 			store, err := kvcore.Open(kvcore.Config{Engine: kvcore.Hash, Workers: 3, CRWorkers: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -567,10 +575,7 @@ func TestCloseTwice(t *testing.T) {
 			base := runtime.NumGoroutine()
 			burst := bytes.Repeat(append(reqFrame(OpPut, 7, make([]byte, 1024)), reqFrame(OpGet, 7, nil)...), 64)
 			for round := 0; round < 100; round++ {
-				srv, err := ListenAndServe(store, "127.0.0.1:0", Config{Transport: tr})
-				if err != nil {
-					t.Fatal(err)
-				}
+				srv := serveTransport(t, store, tr, Config{})
 				var conns []net.Conn
 				for i := 0; i < 9; i++ {
 					c, err := net.Dial("tcp", srv.Addr().String())
